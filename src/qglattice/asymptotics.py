@@ -13,21 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .bands import (
-    EDGE_RTOL,
-    InternalConsistencyError,
-    SpectralInterval,
-    _bisect_vec,
-    _margin,
-    kagome_collapse_function,
-    kagome_collapse_roots,
-    scan_negative_bands,
-)
+from .bands import InternalConsistencyError, _local_band, kagome_collapse_roots, scan_negative_bands
 from .kernels import GeometryError, LatticeSpec, SQRT3
-
-SQRT6 = math.sqrt(6.0)
 
 
 @dataclass(frozen=True)
@@ -161,21 +148,6 @@ def triangular_negative_large_d(spec: LatticeSpec) -> NegativeLimitSet:
 
 # --------------------------------------------------------------------------
 # measurement harness
-
-def _local_band(spec: LatticeSpec, side: str, lo: float, hi: float,
-                n_probes: int = 20001) -> SpectralInterval | None:
-    """Highest-resolution single-band measurement on a small window."""
-    probes = np.linspace(lo, hi, n_probes)
-    inb = _margin(probes, side, spec) <= 0.0
-    idx = np.flatnonzero(inb)
-    if idx.size == 0:
-        return None
-    a, b = idx[0], idx[-1]
-    margin_fn = lambda xs: _margin(xs, side, spec)
-    k_lo = probes[a] if a == 0 else float(_bisect_vec(margin_fn, np.array([probes[a - 1]]), np.array([probes[a]]))[0])
-    k_hi = probes[b] if b == n_probes - 1 else float(_bisect_vec(margin_fn, np.array([probes[b + 1]]), np.array([probes[b]]))[0])
-    return SpectralInterval(k_lo, k_hi, side)
-
 
 def measure_narrow_pair(spec: LatticeSpec, n: int):
     """Scan the pair around the n-th odd multiple of pi over the long edge.

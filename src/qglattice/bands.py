@@ -167,29 +167,31 @@ def _thread_count() -> int:
     return os.cpu_count() or 1
 
 
+def _extremal_brackets(x, side, spec: LatticeSpec):
+    """Bracket l1 - l2 f - l3 g at the three EXTREMAL_THETAS, in that order.
+
+    Scalar or array momentum; the only place that branches on lattice kind
+    and side for membership.
+    """
+    if spec.is_kagome:
+        l1, l2, l3 = lambda_arrays(x, side, spec)
+        return l1 - 3.0 * l2, l1 + 1.5 * (l2 + SQRT3 * l3), l1 + 1.5 * (l2 - SQRT3 * l3)
+    tri_bracket = tri_bracket_pos if side == "positive" else tri_bracket_neg
+    # the triangular bracket depends on theta through f only, and f = -3/2 at both corners
+    corner = tri_bracket(x, -1.5, spec)
+    return tri_bracket(x, 3.0, spec), corner, corner
+
+
 def _strip_components(x, side, spec: LatticeSpec):
     """(over_hi, under_lo) for scalar or array momentum.
 
     over_hi > 0 means the first kernel is above the admissible strip,
-    under_lo > 0 below it; the momentum is in a band iff both are <= 0.
-    Both components are continuous in x.
+    under_lo > 0 below it; the momentum is in a band iff both are <= 0,
+    i.e. iff the extremal brackets change sign.  Both components are
+    continuous in x.
     """
-    if spec.is_kagome:
-        l1, l2, l3 = lambda_arrays(x, side, spec)
-        v0 = 3.0 * l2
-        vp = -1.5 * (l2 + SQRT3 * l3)
-        vm = -1.5 * (l2 - SQRT3 * l3)
-        hi = np.maximum(v0, np.maximum(vp, vm))
-        lo = np.minimum(v0, np.minimum(vp, vm))
-        return l1 - hi, lo - l1
-    if side == "positive":
-        b_hi = tri_bracket_pos(x, 3.0, spec)
-        b_lo = tri_bracket_pos(x, -1.5, spec)
-    else:
-        b_hi = tri_bracket_neg(x, 3.0, spec)
-        b_lo = tri_bracket_neg(x, -1.5, spec)
-    # bracket is non-increasing in the weight: in band iff b_hi <= 0 <= b_lo
-    return b_hi, -b_lo
+    b0, bp, bm = _extremal_brackets(x, side, spec)
+    return np.minimum(b0, np.minimum(bp, bm)), -np.maximum(b0, np.maximum(bp, bm))
 
 
 def _strip_components_chunked(xs, side, spec: LatticeSpec):
@@ -238,14 +240,20 @@ def _is_degenerate_length(length, ell) -> bool:
     return abs(2.0 * math.cos(length / ell) + 1.0) < DEGENERATE_TRIG_TOL
 
 
-def _limit_membership(k, side, spec) -> bool:
-    """Membership of the continuous spectrum in a punctured neighborhood.
+def _limit_membership(ks, side, spec):
+    """Membership of the continuous spectrum in a punctured neighborhood of each k.
 
     Used for momenta where the bracket vanishes identically in theta and
     the direct test is degenerate.
     """
-    eps = 1.0e-6 * max(1.0, k)
-    return in_band(k - eps, side, spec) or in_band(k + eps, side, spec)
+    ks = np.asarray(ks, dtype=float)
+    eps = 1.0e-6 * np.maximum(1.0, ks)
+    return (_margin(ks - eps, side, spec) <= 0.0) | (_margin(ks + eps, side, spec) <= 0.0)
+
+
+def _require_positive(name, value) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def flat_bands(spec: LatticeSpec, k_max: float) -> list:
@@ -257,37 +265,33 @@ def flat_bands(spec: LatticeSpec, k_max: float) -> list:
     lattice has the single family 2 n pi / d.  Point-degenerate bands sit at
     k = 1/ell whenever 2 cos(L/ell) + 1 = 0 for one of the lengths.
     """
-    if k_max <= 0.0:
-        raise ValueError("k_max must be positive")
+    _require_positive("k_max", k_max)
     ell = spec.ell
     out = []
 
-    def series(family, step_k, embedded_fn):
-        n = 1
-        while n * step_k <= k_max * (1.0 + 1e-15):
-            k = n * step_k
-            out.append(FlatBand(k=k, family=family, multiplicity_note=f"n={n}", embedded=embedded_fn(k)))
-            n += 1
+    def series(family, k_of_n, member=None):
+        ks = []
+        while k_of_n(len(ks) + 1) <= k_max * (1.0 + 1e-15):
+            ks.append(k_of_n(len(ks) + 1))
+        ks = np.array(ks)
+        embedded = member(ks) if member and ks.size else np.zeros(ks.size, dtype=bool)
+        out.extend(FlatBand(k=float(k), family=family, multiplicity_note=f"n={n}", embedded=bool(e))
+                   for n, (k, e) in enumerate(zip(ks, embedded), start=1))
 
+    multiples = lambda step_k: lambda n: n * step_k
     if spec.kind == "kagome":
-        member = lambda k: in_band(k, "positive", spec)
-        series("b_family", 2.0 * math.pi / spec.b, member)
-        series("c_family", 2.0 * math.pi / spec.c, member)
-        series("d_family", 2.0 * math.pi / spec.d, member)
+        member = lambda ks: _margin(ks, "positive", spec) <= 0.0
+        series("b_family", multiples(2.0 * math.pi / spec.b), member)
+        series("c_family", multiples(2.0 * math.pi / spec.c), member)
+        series("d_family", multiples(2.0 * math.pi / spec.d), member)
         degenerate = any(_is_degenerate_length(L, ell) for L in (spec.c, spec.b, spec.d))
     elif spec.kind == "equilateral_kagome":
-        series("equilateral_merged", math.pi / spec.c, lambda k: False)
-        n = 1
-        while True:
-            k = ((6 * n - 3) + (-1) ** (n + 1)) * math.pi / (6.0 * spec.c)
-            if k > k_max * (1.0 + 1e-15):
-                break
-            out.append(FlatBand(k=k, family="david_star", multiplicity_note=f"n={n}",
-                                embedded=_limit_membership(k, "positive", spec)))
-            n += 1
+        series("equilateral_merged", multiples(math.pi / spec.c))
+        series("david_star", lambda n: ((6 * n - 3) + (-1) ** (n + 1)) * math.pi / (6.0 * spec.c),
+               lambda ks: _limit_membership(ks, "positive", spec))
         degenerate = _is_degenerate_length(spec.d, ell)
     elif spec.kind == "triangular":
-        series("d_family", 2.0 * math.pi / spec.d, lambda k: False)
+        series("d_family", multiples(2.0 * math.pi / spec.d))
         degenerate = _is_degenerate_length(spec.d, ell)
     else:  # pragma: no cover
         raise GeometryError(f"unknown lattice kind {spec.kind!r}")
@@ -295,7 +299,7 @@ def flat_bands(spec: LatticeSpec, k_max: float) -> list:
     k_point = 1.0 / ell
     if degenerate and k_point <= k_max:
         out.append(FlatBand(k=k_point, family="degenerate_point", multiplicity_note="k=1/ell",
-                            embedded=_limit_membership(k_point, "positive", spec)))
+                            embedded=bool(_limit_membership(k_point, "positive", spec))))
     out.sort(key=lambda fb: (fb.k, fb.family))
     return out
 
@@ -334,22 +338,28 @@ def _bisect_vec(fn, lo, hi, rtol=EDGE_RTOL, max_iter=90):
     return hi
 
 
-def _edge_theta(x, side, spec: LatticeSpec, upper_edge: bool):
-    """Which extremal quasimomentum attains the strip boundary at an edge."""
-    if spec.is_kagome:
-        l1, l2, l3 = lambda_arrays(x, side, spec)
-        vals = np.array([3.0 * l2, -1.5 * (l2 + SQRT3 * l3), -1.5 * (l2 - SQRT3 * l3)])
-        target = vals.max() if upper_edge else vals.min()
-        idx = int(np.argmin(np.abs(vals - target)))
-        return EXTREMAL_THETAS[idx]
-    # triangular: weight 3 at the zone center, -3/2 at the corners
-    if side == "positive":
-        b3 = tri_bracket_pos(x, 3.0, spec)
-        bm = tri_bracket_pos(x, -1.5, spec)
-    else:
-        b3 = tri_bracket_neg(x, 3.0, spec)
-        bm = tri_bracket_neg(x, -1.5, spec)
-    return EXTREMAL_THETAS[0] if abs(b3) <= abs(bm) else EXTREMAL_THETAS[1]
+def _edge_theta(xs, side, spec: LatticeSpec) -> list:
+    """Extremal quasimomentum whose bracket vanishes at each band edge in xs."""
+    brackets = np.abs(np.array(_extremal_brackets(np.asarray(xs, dtype=float), side, spec)))
+    return [EXTREMAL_THETAS[i] for i in np.argmin(brackets, axis=0)]
+
+
+def _local_band(spec: LatticeSpec, side: str, lo: float, hi: float,
+                n_probes: int = 20001) -> SpectralInterval | None:
+    """Span from the first to the last band point of a probed window [lo, hi].
+
+    Edges inside the window are bisected; an edge at the window boundary is
+    the boundary itself.  None if no probe lies in a band.
+    """
+    probes = np.linspace(lo, hi, n_probes)
+    idx = np.flatnonzero(_margin(probes, side, spec) <= 0.0)
+    if idx.size == 0:
+        return None
+    a, b = idx[0], idx[-1]
+    margin_fn = lambda xs: _margin(xs, side, spec)
+    k_lo = probes[a] if a == 0 else float(_bisect_vec(margin_fn, np.array([probes[a - 1]]), np.array([probes[a]]))[0])
+    k_hi = probes[b] if b == n_probes - 1 else float(_bisect_vec(margin_fn, np.array([probes[b + 1]]), np.array([probes[b]]))[0])
+    return SpectralInterval(k_lo, k_hi, side)
 
 
 def _negative_seeds(spec: LatticeSpec, kappa_max: float) -> list:
@@ -498,19 +508,6 @@ def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: flo
     return merged
 
 
-def _known_point_momenta(spec: LatticeSpec, side: str, x_max: float) -> list:
-    """Momenta where the bracket vanishes identically in theta.
-
-    A strip crossing there pinches to zero width but is an infinitely
-    degenerate eigenvalue, reported as a flat or point interval instead of a
-    continuous band.
-    """
-    if side == "negative":
-        return [fb.k for fb in negative_flat_bands(spec)]
-    return [fb.k for fb in flat_bands(spec, x_max)
-            if fb.family in ("david_star", "degenerate_point")]
-
-
 def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
                resolution: float | None = None) -> BandStructure:
     """Scan one side of the spectrum into a BandStructure.
@@ -523,10 +520,10 @@ def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
     """
     if side not in ("positive", "negative"):
         raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
-    if k_max <= 0.0:
-        raise ValueError("k_max must be positive")
+    _require_positive("k_max", k_max)
     if resolution is None:
         resolution = 2.0 * math.pi / (1000.0 * spec.d) if side == "positive" else k_max / 5000.0
+    _require_positive("resolution", resolution)
     if resolution > math.pi / (20.0 * spec.d):
         warnings.warn(
             f"resolution {resolution:g} is coarser than pi/(20 d); narrow bands may degrade",
@@ -535,20 +532,30 @@ def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
 
     raw = _scan_continuous(spec, side, k_max, resolution)
 
-    # a strip crossing pinched to zero width at a flat point is not a band
-    point_momenta = _known_point_momenta(spec, side, k_max)
-    cleaned = []
-    for k_lo, k_hi, lo_zero, hi_trunc in raw:
-        width = k_hi - k_lo
-        if width < 1e-10 * max(1.0, k_hi) and any(abs(0.5 * (k_lo + k_hi) - p) < 1e-8 * max(1.0, p) for p in point_momenta):
-            continue
-        cleaned.append((k_lo, k_hi, lo_zero, hi_trunc))
+    if side == "negative":
+        flats = [fb for fb in negative_flat_bands(spec) if fb.k <= k_max]
+        point_momenta = [fb.k for fb in flats]
+    else:
+        flats = flat_bands(spec, k_max)
+        point_momenta = [fb.k for fb in flats if fb.family in ("david_star", "degenerate_point")]
 
-    intervals = []
-    for k_lo, k_hi, lo_zero, hi_trunc in cleaned:
-        th_lo = None if (lo_zero or k_lo == 0.0) else _edge_theta(k_lo, side, spec, upper_edge=False)
-        th_hi = None if hi_trunc else _edge_theta(k_hi, side, spec, upper_edge=True)
-        intervals.append(SpectralInterval(k_lo, k_hi, side, "continuous", th_lo, th_hi))
+    # a strip crossing pinched to zero width where the bracket vanishes
+    # identically in theta is an infinitely degenerate eigenvalue, reported
+    # as a flat or point interval instead of a continuous band
+    cleaned = [
+        (k_lo, k_hi, lo_zero, hi_trunc) for k_lo, k_hi, lo_zero, hi_trunc in raw
+        if not (k_hi - k_lo < 1e-10 * max(1.0, k_hi)
+                and any(abs(0.5 * (k_lo + k_hi) - p) < 1e-8 * max(1.0, p) for p in point_momenta))
+    ]
+
+    # label every bisected edge (None at zero and at the scan cutoff) in one evaluation
+    edges = [(None if (lo_zero or k_lo == 0.0) else k_lo, None if hi_trunc else k_hi)
+             for k_lo, k_hi, lo_zero, hi_trunc in cleaned]
+    labels = iter(_edge_theta([k for pair in edges for k in pair if k is not None], side, spec))
+    intervals = [
+        SpectralInterval(iv[0], iv[1], side, "continuous", *(None if k is None else next(labels) for k in pair))
+        for iv, pair in zip(cleaned, edges)
+    ]
 
     if side == "negative":
         bound = 2 if spec.kind == "triangular" else 3
@@ -556,13 +563,9 @@ def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
             raise InternalConsistencyError(
                 f"{spec.kind} negative scan found {len(intervals)} bands, bound is {bound}"
             )
-        for fb in negative_flat_bands(spec):
-            if fb.k <= k_max:
-                intervals.append(SpectralInterval(fb.k, fb.k, side, "flat"))
-    else:
-        for fb in flat_bands(spec, k_max):
-            btype = "degenerate_point" if fb.family == "degenerate_point" else "flat"
-            intervals.append(SpectralInterval(fb.k, fb.k, side, btype))
+    for fb in flats:
+        btype = "degenerate_point" if fb.family == "degenerate_point" else "flat"
+        intervals.append(SpectralInterval(fb.k, fb.k, side, btype))
 
     intervals.sort(key=lambda iv: (iv.k_lo, iv.k_hi))
     return BandStructure(spec=spec, side=side, intervals=intervals,
@@ -609,22 +612,6 @@ def _delta_fixed_theta(x, d, spec: LatticeSpec, side: str, f: float, g: float):
         l2 = _lambda2_neg(x, c, d, ell)
         l3 = _lambda3_neg(x, c, d, ell)
     return l1 - l2 * f - l3 * g
-
-
-def _local_gap_width(spec: LatticeSpec, side: str, x0: float, window: float) -> float:
-    """Width of the spectral gap around x0 (0 if x0 lies in a band)."""
-    if _margin(x0, side, spec) <= 0.0:
-        return 0.0
-    probes = np.linspace(max(x0 - window, X_FLOOR), x0 + window, 4001)
-    inb = _margin(probes, side, spec) <= 0.0
-    below = np.flatnonzero(inb & (probes < x0))
-    above = np.flatnonzero(inb & (probes > x0))
-    if below.size == 0 or above.size == 0:
-        return float("inf")
-    margin_fn = lambda xs: _margin(xs, side, spec)
-    lo_edge = _bisect_vec(margin_fn, np.array([x0]), np.array([probes[below[-1]]]))[0]
-    hi_edge = _bisect_vec(margin_fn, np.array([x0]), np.array([probes[above[0]]]))[0]
-    return float(hi_edge - lo_edge)
 
 
 def detect_gap_closings(spec: LatticeSpec, k_window: tuple, d_window: tuple,
@@ -679,8 +666,12 @@ def detect_gap_closings(spec: LatticeSpec, k_window: tuple, d_window: tuple,
             scale = abs(l1) + 3.0 * abs(l2) + 1.5 * SQRT3 * abs(l3) + 1.0
             if abs(delta) > 1e-6 * scale:
                 continue
+            # local gap between the nearest bands on either side (0 if k_star is in a band)
             spec_star = LatticeSpec.kagome(spec.c, d_star, spec.ell)
-            if _local_gap_width(spec_star, side, k_star, window=0.05 * (1.0 + k_star)) >= 1e-6:
+            w = 0.05 * (1.0 + k_star)
+            lower = _local_band(spec_star, side, max(k_star - w, X_FLOOR), k_star, 2001)
+            upper = _local_band(spec_star, side, k_star, k_star + w, 2001)
+            if lower is None or upper is None or upper.k_lo - lower.k_hi >= 1e-6:
                 continue
             found.append((float(k_star), float(d_star), theta))
 

@@ -24,11 +24,7 @@ from .bands import (
     scan_negative_bands,
 )
 from .kernels import GeometryError, LatticeSpec, Quasimomentum
-from .secular import (
-    kagome_secular_det,
-    normalized_bracket,
-    triangular_secular_det,
-)
+from .secular import _bracket_prefactor, kagome_secular_matrix, triangular_secular_matrix
 from .vertex import scattering_matrix
 
 
@@ -170,15 +166,17 @@ def _cmd_asymptotics(args) -> int:
 def _cmd_oracle_check(args) -> int:
     spec = _spec_from_args(args)
     z = complex(args.k) if args.side == "positive" else 1j * args.k
-    det_fn = kagome_secular_det if spec.is_kagome else triangular_secular_det
+    matrix_fn = kagome_secular_matrix if spec.is_kagome else triangular_secular_matrix
     thetas = np.linspace(-np.pi, np.pi, args.grid_n, endpoint=False)
     rows = []
     for t1 in thetas:
         for t2 in thetas:
             q = Quasimomentum(float(t1), float(t2))
-            det = det_fn(z, q, spec)
+            system = matrix_fn(z, q, spec)
+            raw = np.linalg.det(system.matrix)  # factored once for both columns
+            det = system.conventional(raw)
             with np.errstate(divide="ignore", invalid="ignore"):
-                norm = normalized_bracket(z, q, spec)
+                norm = raw / _bracket_prefactor(z, q, spec)
             rows.append((args.k, float(t1), float(t2), det.real, det.imag, float(norm.real)))
     _write_csv(args.out, ORACLE_HEADER, rows)
     return 0

@@ -56,6 +56,8 @@ class LatticeSpec:
     ell: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.c, self.d, self.ell))):
+            raise GeometryError(f"lengths must be finite, got c={self.c}, d={self.d}, ell={self.ell}")
         if self.ell <= 0.0:
             raise GeometryError(f"coupling scale ell must be positive, got {self.ell}")
         if self.kind == "triangular":

@@ -49,9 +49,6 @@ from .kernels import (
     tri_bracket_pos,
 )
 
-KAGOME_PREFACTOR = 65536.0j
-TRIANGULAR_PREFACTOR = 256.0
-
 # raw-to-conventional determinant rescale factors, calibrated once against
 # the closed-form bracket (see module docstring)
 _KAGOME_RESCALE_POWER = 6  # det_conventional = det_raw * (-64 z^6)
@@ -69,7 +66,10 @@ class SecularSystem:
 
     def determinant(self) -> complex:
         """Determinant in the conventional normalization (see module docstring)."""
-        raw = np.linalg.det(self.matrix)
+        return self.conventional(np.linalg.det(self.matrix))
+
+    def conventional(self, raw: complex) -> complex:
+        """Rescale a raw determinant of this matrix to the conventional normalization."""
         z = self.momentum
         if self.dimension == 12:
             return raw * (-64.0 * z ** _KAGOME_RESCALE_POWER)
@@ -211,21 +211,24 @@ def triangular_secular_det(z, theta: Quasimomentum, spec: LatticeSpec) -> comple
     return triangular_secular_matrix(z, theta, spec).determinant()
 
 
+def _bracket_prefactor(z, theta: Quasimomentum, spec: LatticeSpec) -> complex:
+    """Every known nonvanishing factor of the raw determinant besides the bracket,
+    including the sine factors (see module docstring)."""
+    if spec.is_kagome:
+        c, d, ell = spec.c, spec.d, spec.ell
+        sines = np.sin(z * c / 2.0) * np.sin(z * d / 2.0) * np.sin(z * (d - c) / 2.0)
+        return -1024.0j * np.exp(2j * theta.theta2) * z ** 3 * ell ** 3 * sines
+    return -32.0 * z * spec.ell * np.exp(2j * theta.theta2) * np.sin(z * spec.d / 2.0) ** 2
+
+
 def normalized_bracket(z, theta: Quasimomentum, spec: LatticeSpec) -> complex:
     """Oracle reconstruction of the kernel bracket from the raw determinant.
 
     Divides the determinant by every known nonvanishing prefactor including
     the three sine factors; only meaningful away from the sine zeros.
     """
-    if spec.is_kagome:
-        raw = np.linalg.det(kagome_secular_matrix(z, theta, spec).matrix)
-        c, d, ell = spec.c, spec.d, spec.ell
-        sines = np.sin(z * c / 2.0) * np.sin(z * d / 2.0) * np.sin(z * (d - c) / 2.0)
-        pref = -1024.0j * np.exp(2j * theta.theta2) * z ** 3 * ell ** 3 * sines
-    else:
-        raw = np.linalg.det(triangular_secular_matrix(z, theta, spec).matrix)
-        pref = -32.0 * z * spec.ell * np.exp(2j * theta.theta2) * np.sin(z * spec.d / 2.0) ** 2
-    return raw / pref
+    matrix = kagome_secular_matrix if spec.is_kagome else triangular_secular_matrix
+    return np.linalg.det(matrix(z, theta, spec).matrix) / _bracket_prefactor(z, theta, spec)
 
 
 def _phase_decomposition(z, spec: LatticeSpec):
@@ -277,20 +280,6 @@ def _reduction_factor(x, side, spec: LatticeSpec) -> complex:
     if side == "positive":
         return -32.0 * complex(x) * ell
     return 32.0j * x * ell
-
-
-def _reduced_grid(x, side, theta1_flat, theta2_flat, spec: LatticeSpec) -> np.ndarray:
-    """Real reduced determinant values over a theta grid.
-
-    On the positive side this equals sin-prefactor * bracket; on the
-    negative side the hyperbolic analogue.  Division by the momentum and
-    phase prefactors keeps the values real, so sign changes over the grid
-    are sign changes of the bracket.
-    """
-    z = complex(x) if side == "positive" else 1j * x
-    dets = _det_grid(z, theta1_flat, theta2_flat, spec)
-    norm = _reduction_factor(x, side, spec) * np.exp(2j * theta2_flat)
-    return (dets / norm).real
 
 
 def _oracle_scale(x, side, spec: LatticeSpec) -> float:

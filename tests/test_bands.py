@@ -18,8 +18,18 @@ from qglattice.bands import (
     scan_negative_bands,
     spectral_threshold,
 )
-from qglattice.kernels import LatticeSpec, Quasimomentum, lambda_arrays
-from qglattice.secular import oracle_in_spectrum
+from qglattice.asymptotics import equilateral_narrow_band, triangular_narrow_band
+from qglattice.kernels import (
+    EXTREMAL_THETAS,
+    LatticeSpec,
+    Quasimomentum,
+    bracket,
+    f_theta,
+    lambda_arrays,
+    tri_bracket_neg,
+    tri_bracket_pos,
+)
+from qglattice.secular import _oracle_scale, oracle_in_spectrum
 
 SQRT3 = math.sqrt(3.0)
 
@@ -322,6 +332,48 @@ def test_gap_closings_negative_side_at_corner_quasimomenta():
     for k, d, theta in found:
         # negative-side crossings happen at theta1 = -theta2 = +-2*pi/3 only
         assert theta in {(2 * math.pi / 3, -2 * math.pi / 3), (-2 * math.pi / 3, 2 * math.pi / 3)}
+
+
+# --------------------------------------------------------------------------
+# edge labels
+
+
+def _bracket_at(x, side, theta, spec):
+    q = Quasimomentum(*theta)
+    if spec.is_kagome:
+        return bracket(x, side, q, spec)
+    return (tri_bracket_pos if side == "positive" else tri_bracket_neg)(x, f_theta(q), spec)
+
+
+@pytest.mark.parametrize("spec", [
+    LatticeSpec.kagome(1.0, 3.0, 1.0), LatticeSpec.equilateral(1.0, 1.0), LatticeSpec.triangular(2.0, 1.0),
+], ids=["kagome", "equilateral", "triangular"])
+@pytest.mark.parametrize("side", ["positive", "negative"])
+def test_edge_labels_name_the_vanishing_extremal_bracket(spec, side):
+    bs = scan_bands(spec, "positive", 60.0) if side == "positive" else scan_negative_bands(spec)
+    labelled = [(iv.k_lo, iv.edge_theta_lo) for iv in bs.continuous if iv.edge_theta_lo is not None]
+    labelled += [(iv.k_hi, iv.edge_theta_hi) for iv in bs.continuous if iv.edge_theta_hi is not None]
+    assert len(labelled) >= 3
+    for x, theta in labelled:
+        values = {th: abs(_bracket_at(x, side, th, spec)) for th in EXTREMAL_THETAS}
+        assert values[theta] == min(values.values()), (x, theta, values)
+        assert values[theta] <= 1e-8 * _oracle_scale(x, side, spec), (x, theta, values)
+
+
+@pytest.mark.parametrize("n", [5, 50])
+@pytest.mark.parametrize("spec,inner_at_center", [
+    (LatticeSpec.equilateral(1.0, 1.0), False), (LatticeSpec.triangular(2.0, 1.0), True),
+], ids=["equilateral", "triangular"])
+def test_narrow_pair_edge_labels_match_asymptotics(spec, inner_at_center, n):
+    # equilateral: inner edges at a corner, outer at the zone center;
+    # triangular: the reverse (see the narrow-band docstrings)
+    pred = (equilateral_narrow_band if spec.is_kagome else triangular_narrow_band)(n, spec)
+    bs = scan_bands(spec, "positive", pred.center_k + 1.0)
+    lower = max((iv for iv in bs.continuous if iv.k_hi < pred.center_k), key=lambda iv: iv.k_hi)
+    upper = min((iv for iv in bs.continuous if iv.k_lo > pred.center_k), key=lambda iv: iv.k_lo)
+    at_center = lambda theta: tuple(theta) == EXTREMAL_THETAS[0]
+    assert at_center(lower.edge_theta_hi) == at_center(upper.edge_theta_lo) == inner_at_center
+    assert at_center(lower.edge_theta_lo) == at_center(upper.edge_theta_hi) == (not inner_at_center)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +152,42 @@ def test_missing_geometry_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bands", "--kind", "kagome", "--c", "1", "--d", "3", "--k-max", "5", "--resolution", "0"],
+    ["bands", "--kind", "kagome", "--c", "1", "--d", "3", "--k-max", "5", "--resolution", "-1"],
+    ["probability", "--kind", "kagome", "--c", "1", "--d", "inf", "--K", "100"],
+    ["probability", "--kind", "kagome", "--c", "1", "--d", "3", "--K", "inf"],
+    ["negative", "--kind", "triangular", "--d", "nan"],
+    ["bands", "--kind", "triangular", "--d", "2", "--ell", "nan", "--k-max", "5"],
+    ["flatbands", "--kind", "triangular", "--d", "2", "--k-max", "inf"],
+], ids=["resolution-zero", "resolution-negative", "d-inf", "K-inf", "d-nan", "ell-nan", "flat-k-max-inf"])
+def test_non_finite_or_non_positive_input_exit_code(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "x.out")])
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+#: Checked-in artifacts and the arguments that wrote them.
+FIXTURE_ARGS = {
+    f"{cmd}_{name}.csv": [cmd, "--kind", *spec, *extra]
+    for name, spec in (("kagome", ["kagome", "--c", "1", "--d", "3"]),
+                       ("equilateral", ["equilateral", "--c", "1"]),
+                       ("triangular", ["triangular", "--d", "2"]))
+    for cmd, extra in (("bands", ["--k-max", "10"]), ("negative", []), ("flatbands", ["--k-max", "20"]))
+}
+FIXTURE_ARGS["asymptotics_triangular.csv"] = ["asymptotics", "--kind", "triangular", "--d", "1"]
+
+
+def test_fixture_artifacts_regenerate_byte_for_byte(tmp_path):
+    assert sorted(p.name for p in FIXTURES.iterdir()) == sorted(FIXTURE_ARGS)
+    changed = []
+    for name, args in FIXTURE_ARGS.items():
+        code, out = _run(tmp_path, name, args)
+        assert code == 0
+        if out.read_bytes() != (FIXTURES / name).read_bytes():
+            changed.append(name)
+    assert not changed
