@@ -11,7 +11,9 @@ additionally detects bands narrower than the grid step wherever the first
 kernel crosses the whole strip between two consecutive out-of-band probes
 (the two strip boundaries are bisected independently).  Bands that collapse
 exponentially with the cell size are found this way without any special
-resolution requirements.
+resolution requirements.  Likewise, a run of in-band probes is split where
+two or more extremal brackets change sign between neighbours and all share
+a sign in between: a gap narrower than the grid step.
 """
 
 from __future__ import annotations
@@ -190,18 +192,33 @@ def _strip_components(x, side, spec: LatticeSpec):
     i.e. iff the extremal brackets change sign.  Both components are
     continuous in x.
     """
-    b0, bp, bm = _extremal_brackets(x, side, spec)
+    return _strip_of(_extremal_brackets(x, side, spec))
+
+
+def _strip_of(brackets):
+    b0, bp, bm = brackets
     return np.minimum(b0, np.minimum(bp, bm)), -np.maximum(b0, np.maximum(bp, bm))
 
 
+def _strip_step(xs, side, spec: LatticeSpec):
+    """_strip_components of a probe array plus its sign bits: bit j of each
+    uint8 is set where extremal bracket j is positive."""
+    brackets = _extremal_brackets(xs, side, spec)
+    bits = np.zeros(xs.shape, np.uint8)
+    for j, b in enumerate(brackets):
+        bits |= (b > 0.0).view(np.uint8) << j
+    return (*_strip_of(brackets), bits)
+
+
 def _strip_components_chunked(xs, side, spec: LatticeSpec):
+    """_strip_step, split over the thread pool for long probe arrays."""
     n = _thread_count()
     if n <= 1 or xs.size < 200_000:
-        return _strip_components(xs, side, spec)
+        return _strip_step(xs, side, spec)
     chunks = np.array_split(xs, n)
     with ThreadPoolExecutor(max_workers=n) as pool:
-        parts = list(pool.map(lambda ch: _strip_components(ch, side, spec), chunks))
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+        parts = list(pool.map(lambda ch: _strip_step(ch, side, spec), chunks))
+    return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
 
 
 def _margin(x, side, spec: LatticeSpec):
@@ -209,13 +226,17 @@ def _margin(x, side, spec: LatticeSpec):
     return np.maximum(oh, ul)
 
 
+def _require_positive(name, value) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def in_band(x, side, spec: LatticeSpec) -> bool:
     """Spectral-band membership of momentum x (energy x^2 or -x^2).
 
     Edges count as inside (spectra are closed sets).
     """
-    if x <= 0.0:
-        raise ValueError("momentum argument must be positive")
+    _require_positive("momentum argument", x)
     return bool(_margin(float(x), side, spec) <= 0.0)
 
 
@@ -249,11 +270,6 @@ def _limit_membership(ks, side, spec):
     ks = np.asarray(ks, dtype=float)
     eps = 1.0e-6 * np.maximum(1.0, ks)
     return (_margin(ks - eps, side, spec) <= 0.0) | (_margin(ks + eps, side, spec) <= 0.0)
-
-
-def _require_positive(name, value) -> None:
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def flat_bands(spec: LatticeSpec, k_max: float) -> list:
@@ -416,6 +432,49 @@ def kagome_collapse_roots(spec: LatticeSpec) -> tuple:
     return lo_root, hi_root
 
 
+def _sub_step_gaps(probes, inb, signs, side, spec: LatticeSpec) -> list:
+    """Gaps narrower than the probe step between two in-band probes.
+
+    Where two or more extremal brackets change sign between in-band
+    neighbours, the brackets may all share a sign for a while in between.
+    Each changed bracket's zero is bisected (one call per bracket), and the
+    zeros of each pair are walked in order.
+    """
+    flips = signs[1:] ^ signs[:-1]
+    # x & (x - 1) != 0: two or more bits changed
+    pairs = np.flatnonzero(inb[:-1] & inb[1:] & ((flips & (flips - 1)) != 0))
+    flips = flips[pairs]
+    zeros = np.zeros((3, pairs.size))
+    for j in range(3):
+        sel = (flips >> j) & 1 == 1
+        if sel.any():
+            bracket_j = lambda xs: _extremal_brackets(xs, side, spec)[j]
+            zeros[j, sel] = _bisect_vec(bracket_j, probes[pairs[sel]], probes[pairs[sel] + 1])
+    gaps = []
+    for i, p in enumerate(pairs):
+        state, start = int(signs[p]), None
+        for z, j in sorted((zeros[j, i], j) for j in range(3) if flips[i] >> j & 1):
+            state ^= 1 << j
+            if state in (0, 7):
+                start = z
+            elif start is not None:
+                gaps.append((float(start), float(z)))
+                start = None
+    return gaps
+
+
+def _split_runs(runs, gaps) -> list:
+    """Cut the sorted in-band runs at the sorted sub-step gaps inside them."""
+    out, j = [], 0
+    for k_lo, k_hi, lo_zero, hi_trunc in runs:
+        while j < len(gaps) and gaps[j][1] <= k_hi:
+            out.append((k_lo, gaps[j][0], lo_zero, False))
+            k_lo, lo_zero = gaps[j][1], False
+            j += 1
+        out.append((k_lo, k_hi, lo_zero, hi_trunc))
+    return out
+
+
 def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: float):
     """Grid scan with edge bisection and narrow-band (strip-crossing) recovery."""
     n = max(8, int(math.floor(x_max / resolution)))
@@ -439,7 +498,7 @@ def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: flo
         # the isolated flat point is not part of any continuous band
         probes = probes[np.abs(probes - flat_point) > 1e-9 * flat_point]
 
-    oh, ul = _strip_components_chunked(probes, side, spec)
+    oh, ul, signs = _strip_components_chunked(probes, side, spec)
     margin = np.maximum(oh, ul)
     inb = margin <= 0.0
 
@@ -483,6 +542,7 @@ def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: flo
                 k_hi = float(hi_edges[i_hi])
                 i_hi += 1
             intervals.append((k_lo, k_hi, r in lo_fixed and k_lo == 0.0, r in hi_fixed))
+        intervals = _split_runs(intervals, _sub_step_gaps(probes, inb, signs, side, spec))
 
     # strip crossings between consecutive out-of-band probes: a band narrower
     # than the grid step, recovered by bisecting both strip boundaries

@@ -176,7 +176,7 @@ def _cmd_oracle_check(args) -> int:
             raw = np.linalg.det(system.matrix)  # factored once for both columns
             det = system.conventional(raw)
             with np.errstate(divide="ignore", invalid="ignore"):
-                norm = raw / _bracket_prefactor(z, q, spec)
+                norm = raw / _bracket_prefactor(z, q.theta2, spec)
             rows.append((args.k, float(t1), float(t2), det.real, det.imag, float(norm.real)))
     _write_csv(args.out, ORACLE_HEADER, rows)
     return 0

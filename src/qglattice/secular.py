@@ -5,6 +5,9 @@ This module is the independent oracle for the closed-form kernels: the
 plane waves on the cell edges, the cell-boundary phase conditions, midpoint
 smoothness and the circulant vertex conditions, with no reference to the
 kernel expressions.  Its determinant vanishes exactly on the spectrum.
+The membership oracle also takes its vanishing tolerance from its own
+determinants (the bracket values at the extremal quasimomenta), so it
+calls none of the kernels it checks.
 
 Coefficient elimination
 -----------------------
@@ -39,15 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (
-    GeometryError,
-    LatticeSpec,
-    Quasimomentum,
-    SQRT3,
-    lambda_arrays,
-    tri_bracket_neg,
-    tri_bracket_pos,
-)
+from .kernels import EXTREMAL_THETAS, SQRT3, GeometryError, LatticeSpec, Quasimomentum
 
 # raw-to-conventional determinant rescale factors, calibrated once against
 # the closed-form bracket (see module docstring)
@@ -183,8 +178,8 @@ def kagome_secular_matrix(z, theta: Quasimomentum, spec: LatticeSpec) -> Secular
     """Assemble the 12 x 12 kagome system at complex momentum z != 0."""
     if not spec.is_kagome:
         raise GeometryError("degenerate geometry: use the triangular secular system")
-    if z == 0:
-        raise ValueError("secular system requires z != 0")
+    if z == 0 or not np.isfinite(z):
+        raise ValueError(f"secular system requires a finite z != 0, got {z}")
     p1, p2, p3 = _phases(theta)
     rows = _kagome_rows(complex(z), p1, p2, p3, spec.c, spec.d, spec.ell)
     return SecularSystem(12, rows, complex(z), theta, spec)
@@ -199,8 +194,8 @@ def triangular_secular_matrix(z, theta: Quasimomentum, spec: LatticeSpec) -> Sec
     """Assemble the reduced 6 x 6 triangular system at complex momentum z != 0."""
     if spec.kind != "triangular":
         raise GeometryError("triangular secular system requires a triangular spec")
-    if z == 0:
-        raise ValueError("secular system requires z != 0")
+    if z == 0 or not np.isfinite(z):
+        raise ValueError(f"secular system requires a finite z != 0, got {z}")
     p1, p2, p3 = _phases(theta)
     rows = _triangular_rows(complex(z), p1, p2, p3, spec.d, spec.ell)
     return SecularSystem(6, rows, complex(z), theta, spec)
@@ -211,14 +206,14 @@ def triangular_secular_det(z, theta: Quasimomentum, spec: LatticeSpec) -> comple
     return triangular_secular_matrix(z, theta, spec).determinant()
 
 
-def _bracket_prefactor(z, theta: Quasimomentum, spec: LatticeSpec) -> complex:
+def _bracket_prefactor(z, theta2, spec: LatticeSpec):
     """Every known nonvanishing factor of the raw determinant besides the bracket,
-    including the sine factors (see module docstring)."""
+    including the sine factors (see module docstring); theta2 may be an array."""
     if spec.is_kagome:
         c, d, ell = spec.c, spec.d, spec.ell
         sines = np.sin(z * c / 2.0) * np.sin(z * d / 2.0) * np.sin(z * (d - c) / 2.0)
-        return -1024.0j * np.exp(2j * theta.theta2) * z ** 3 * ell ** 3 * sines
-    return -32.0 * z * spec.ell * np.exp(2j * theta.theta2) * np.sin(z * spec.d / 2.0) ** 2
+        return -1024.0j * np.exp(2j * theta2) * z ** 3 * ell ** 3 * sines
+    return -32.0 * z * spec.ell * np.exp(2j * theta2) * np.sin(z * spec.d / 2.0) ** 2
 
 
 def normalized_bracket(z, theta: Quasimomentum, spec: LatticeSpec) -> complex:
@@ -228,7 +223,7 @@ def normalized_bracket(z, theta: Quasimomentum, spec: LatticeSpec) -> complex:
     the three sine factors; only meaningful away from the sine zeros.
     """
     matrix = kagome_secular_matrix if spec.is_kagome else triangular_secular_matrix
-    return np.linalg.det(matrix(z, theta, spec).matrix) / _bracket_prefactor(z, theta, spec)
+    return np.linalg.det(matrix(z, theta, spec).matrix) / _bracket_prefactor(z, theta.theta2, spec)
 
 
 def _phase_decomposition(z, spec: LatticeSpec):
@@ -254,9 +249,9 @@ def _phase_decomposition(z, spec: LatticeSpec):
     return m0, terms
 
 
-def _det_grid(z, theta1_flat, theta2_flat, spec: LatticeSpec) -> np.ndarray:
-    """Raw determinants over a flattened quasimomentum grid, batched."""
-    m0, terms = _phase_decomposition(z, spec)
+def _assembled_dets(decomposition, theta1_flat, theta2_flat) -> np.ndarray:
+    """Raw determinants of a phase decomposition over flattened quasimomenta."""
+    m0, terms = decomposition
     phases = (
         np.exp(1j * theta1_flat),
         np.exp(1j * theta2_flat),
@@ -269,34 +264,29 @@ def _det_grid(z, theta1_flat, theta2_flat, spec: LatticeSpec) -> np.ndarray:
     return np.linalg.det(mats)
 
 
-def _reduction_factor(x, side, spec: LatticeSpec) -> complex:
-    """Theta-independent part of the normalization that makes the reduced
-    determinant real: divide the raw determinant by this and by e^(2 i theta2)."""
-    ell = spec.ell
-    if spec.is_kagome:
-        if side == "positive":
-            return -1024.0j * complex(x) ** 3 * ell ** 3
-        return 1024.0j * x ** 3 * ell ** 3
-    if side == "positive":
-        return -32.0 * complex(x) * ell
-    return 32.0j * x * ell
+def _det_grid(z, theta1_flat, theta2_flat, spec: LatticeSpec) -> np.ndarray:
+    """Raw determinants over a flattened quasimomentum grid, batched."""
+    return _assembled_dets(_phase_decomposition(z, spec), theta1_flat, theta2_flat)
 
 
-def _oracle_scale(x, side, spec: LatticeSpec) -> float:
-    """Magnitude scale of the bracket used for the vanishing tolerance."""
+def _bracket_scale(x, extremal, spec: LatticeSpec) -> float:
+    """Magnitude scale of the bracket used for the vanishing tolerance.
+
+    Taken from the bracket values at the three EXTREMAL_THETAS: the bracket
+    is l1 - l2 f - l3 g for kagome and A - C f for triangular, and f, g
+    there are (3, 0) and (-3/2, +-3 sqrt(3)/2).
+    """
+    b0, bp, bm = extremal
     zmod = abs(x)
     if spec.is_kagome:
-        l1, l2, l3 = lambda_arrays(x, side, spec)
+        l1 = (b0 + bp + bm) / 3.0
+        l2 = (l1 - b0) / 3.0
+        l3 = (bp - bm) / (3.0 * SQRT3)
         floor = ((zmod * spec.ell) ** 2 + 1.0) ** 3
         return float(max(abs(l1), 3.0 * abs(l2), 1.5 * (abs(l2) + SQRT3 * abs(l3)), floor))
-    if side == "positive":
-        b_hi = tri_bracket_pos(x, 0.0, spec)
-        b_span = abs(tri_bracket_pos(x, 3.0, spec) - b_hi)
-    else:
-        b_hi = tri_bracket_neg(x, 0.0, spec)
-        b_span = abs(tri_bracket_neg(x, 3.0, spec) - b_hi)
+    c = (bp - b0) / 4.5
     floor = ((zmod * spec.ell) ** 2 + 1.0) ** 2
-    return float(max(abs(b_hi), b_span, floor))
+    return float(max(abs(b0 + 3.0 * c), 3.0 * abs(c), floor))
 
 
 #: Relative tolerance declaring the reduced determinant to vanish.
@@ -310,28 +300,35 @@ SINE_ZERO_TOL = 1.0e-12
 def oracle_in_spectrum(x, spec: LatticeSpec, theta_grid_n: int = 64, side: str = "positive") -> bool:
     """Brute-force spectral membership from the secular determinant.
 
-    True iff over the quasimomentum grid the reduced determinant changes
-    sign (a continuous-band point), nearly vanishes at some grid point
-    (band edge), or one of its sine prefactors vanishes (flat band or
-    degenerate point).  The n x n grid is augmented with the two corner
-    extrema theta1 = -theta2 = +-2*pi/3, where the bracket attains its
-    range boundary; without them a grid of any practical size misses the
-    narrow sign-change region of momenta close to a band edge.  Evaluated
-    in chunks so a sign change returns early.
+    True iff one of the sine prefactors vanishes (flat band or degenerate
+    point), or over the quasimomentum grid the bracket (the determinant
+    divided by its prefactor) changes sign (a continuous-band point) or
+    nearly vanishes at some grid point (band edge).  The n x n grid is
+    augmented with the three EXTREMAL_THETAS, where the bracket attains its
+    range boundary; without the corners a grid of any practical size misses
+    the narrow sign-change region of momenta close to a band edge.  Their
+    values also set the vanishing tolerance.  Evaluated in chunks so a sign
+    change returns early.
     """
     if theta_grid_n < 8:
         raise ValueError("theta_grid_n must be at least 8")
-    if x <= 0.0:
-        raise ValueError("momentum argument must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"momentum argument must be finite and positive, got {x}")
+    if side == "positive":
+        lengths = (spec.c, spec.d, spec.d - spec.c) if spec.is_kagome else (spec.d,)
+        # a vanishing sine factor is an infinitely degenerate eigenvalue;
+        # testing per factor keeps the detection zone tight even where
+        # several families coincide
+        if any(abs(np.sin(x * L / 2.0)) <= SINE_ZERO_TOL * max(1.0, x * L / 2.0) for L in lengths):
+            return True
     t = np.linspace(-np.pi, np.pi, theta_grid_n, endpoint=False)
     t1, t2 = np.meshgrid(t, t, indexing="ij")
-    corners = 2.0 * np.pi / 3.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    t1f = np.concatenate([corners[:, 0], t1.ravel()])
-    t2f = np.concatenate([corners[:, 1], t2.ravel()])
+    extremal = np.array(EXTREMAL_THETAS)
+    t1f = np.concatenate([extremal[:, 0], t1.ravel()])
+    t2f = np.concatenate([extremal[:, 1], t2.ravel()])
 
     z = complex(x) if side == "positive" else 1j * x
-    m0, terms = _phase_decomposition(z, spec)
-    factor = _reduction_factor(x, side, spec)
+    decomposition = _phase_decomposition(z, spec)
     vmin = math.inf
     vmax = -math.inf
     abs_min = math.inf
@@ -339,38 +336,14 @@ def oracle_in_spectrum(x, spec: LatticeSpec, theta_grid_n: int = 64, side: str =
     for start in range(0, t1f.size, chunk):
         s1 = t1f[start:start + chunk]
         s2 = t2f[start:start + chunk]
-        phases = (np.exp(1j * s1), np.exp(1j * s2), np.exp(1j * (s2 - s1)))
-        mats = np.empty((s1.size,) + m0.shape, complex)
-        mats[:] = m0
-        for idx, r, c, val in terms:
-            mats[:, r, c] += phases[idx] * val
-        vals = (np.linalg.det(mats) / (factor * np.exp(2j * s2))).real
+        vals = (_assembled_dets(decomposition, s1, s2) / _bracket_prefactor(z, s2, spec)).real
+        if start == 0:
+            scale = _bracket_scale(x, vals[:3], spec)
         vmin = min(vmin, float(vals.min()))
         vmax = max(vmax, float(vals.max()))
         if vmin <= 0.0 <= vmax:
             return True
         abs_min = min(abs_min, float(np.abs(vals).min()))
-    scale = _oracle_scale(x, side, spec)
-    if spec.is_kagome:
-        lengths = (spec.c, spec.d, spec.d - spec.c)
-    else:
-        lengths = (spec.d,)
-    if side == "positive":
-        sines = [np.sin(x * L / 2.0) for L in lengths]
-        # a vanishing sine factor is an infinitely degenerate eigenvalue;
-        # testing per factor keeps the detection zone tight even where
-        # several families coincide
-        if any(abs(s) <= SINE_ZERO_TOL * max(1.0, x * L / 2.0) for s, L in zip(sines, lengths)):
-            return True
-        pref = np.prod(sines)
-        if not spec.is_kagome:
-            pref = pref ** 2
-    else:
-        pref = np.prod([np.sinh(x * L / 2.0) for L in lengths])
-        if not spec.is_kagome:
-            pref = pref ** 2
     # bracket vanishes at a grid point (band edge graze, or the
-    # theta-independent zero of a point-degenerate band); measured relative
-    # to the sine prefactor so that small prefactors near flat momenta do
-    # not fake a vanishing bracket
-    return bool(abs_min <= VANISH_RTOL * abs(pref) * scale)
+    # theta-independent zero of a point-degenerate band)
+    return bool(abs_min <= VANISH_RTOL * scale)

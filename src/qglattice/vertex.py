@@ -57,8 +57,8 @@ def scattering_matrix(n: int, ell: float, k: float) -> ScatteringMatrix:
     """
     if n < 3:
         raise InvalidDegreeError(f"vertex degree must be at least 3, got {n}")
-    if ell <= 0.0 or k <= 0.0:
-        raise ValueError(f"need ell > 0 and k > 0, got ell={ell}, k={k}")
+    if not (0.0 < ell < np.inf and 0.0 < k < np.inf):
+        raise ValueError(f"need finite ell > 0 and k > 0, got ell={ell}, k={k}")
     eta = (1.0 - k * ell) / (1.0 + k * ell)
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     exponents = np.mod(j - i - 1, n)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qglattice.bands import (
+    _extremal_brackets,
     _margin,
     _strip_components,
     _strip_components_chunked,
@@ -29,7 +30,7 @@ from qglattice.kernels import (
     tri_bracket_neg,
     tri_bracket_pos,
 )
-from qglattice.secular import _oracle_scale, oracle_in_spectrum
+from qglattice.secular import _bracket_scale, oracle_in_spectrum
 
 SQRT3 = math.sqrt(3.0)
 
@@ -357,7 +358,26 @@ def test_edge_labels_name_the_vanishing_extremal_bracket(spec, side):
     for x, theta in labelled:
         values = {th: abs(_bracket_at(x, side, th, spec)) for th in EXTREMAL_THETAS}
         assert values[theta] == min(values.values()), (x, theta, values)
-        assert values[theta] <= 1e-8 * _oracle_scale(x, side, spec), (x, theta, values)
+        scale = _bracket_scale(x, _extremal_brackets(x, side, spec), spec)
+        assert values[theta] <= 1e-8 * scale, (x, theta, values)
+
+
+@pytest.mark.parametrize("spec,k_max,x", [
+    (LatticeSpec.kagome(1.0, 3.0, 1.0), 1000.0, 606.3270),
+    (LatticeSpec.kagome(1.62 * (math.sqrt(5.0) - 1.0) / 2.0, 1.62, 1.0), 30.0, 25.2384),
+], ids=["kagome-606", "golden-25"])
+def test_sub_step_gap_between_two_brackets_is_kept(spec, k_max, x):
+    # two different extremal brackets change sign between two in-band
+    # probes and open a gap narrower than the probe step around x
+    assert not in_band(x, "positive", spec) and not oracle_in_spectrum(x, spec)
+    bs = scan_bands(spec, "positive", k_max)
+    cont = bs.continuous
+    assert not any(iv.k_lo <= x <= iv.k_hi for iv in cont)
+    narrow = [0.5 * (a.k_hi + b.k_lo) for a, b in zip(cont, cont[1:]) if b.k_lo - a.k_hi < bs.resolution]
+    assert any(abs(mid - x) < bs.resolution for mid in narrow)
+    # (such a gap may hold a flat band at its midpoint, so the oracle is not asked there)
+    for mid in narrow:
+        assert not in_band(mid, "positive", spec), mid
 
 
 @pytest.mark.parametrize("n", [5, 50])
@@ -384,9 +404,11 @@ def test_chunked_margin_evaluation_matches_direct(monkeypatch):
     spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
     xs = np.linspace(0.01, 30.0, 250_000)
     monkeypatch.setenv("QG_THREADS", "2")
-    oh_c, ul_c = _strip_components_chunked(xs, "positive", spec)
+    oh_c, ul_c, signs_c = _strip_components_chunked(xs, "positive", spec)
     oh, ul = _strip_components(xs, "positive", spec)
     assert np.array_equal(oh_c, oh) and np.array_equal(ul_c, ul)
+    bits = sum((b > 0.0).astype(np.uint8) << j for j, b in enumerate(_extremal_brackets(xs, "positive", spec)))
+    assert np.array_equal(signs_c, bits)
 
 
 def test_csv_rows_and_dict_shapes():

@@ -162,7 +162,12 @@ def test_missing_geometry_exit_code(tmp_path, capsys):
     ["negative", "--kind", "triangular", "--d", "nan"],
     ["bands", "--kind", "triangular", "--d", "2", "--ell", "nan", "--k-max", "5"],
     ["flatbands", "--kind", "triangular", "--d", "2", "--k-max", "inf"],
-], ids=["resolution-zero", "resolution-negative", "d-inf", "K-inf", "d-nan", "ell-nan", "flat-k-max-inf"])
+    ["scattering", "--n", "3", "--k", "nan"],
+    ["scattering", "--n", "3", "--k", "inf"],
+    ["scattering", "--n", "3", "--k", "1", "--ell", "inf"],
+    ["oracle-check", "--kind", "kagome", "--c", "1", "--d", "3", "--k", "nan", "--grid-n", "2"],
+], ids=["resolution-zero", "resolution-negative", "d-inf", "K-inf", "d-nan", "ell-nan", "flat-k-max-inf",
+        "scattering-k-nan", "scattering-k-inf", "scattering-ell-inf", "oracle-k-nan"])
 def test_non_finite_or_non_positive_input_exit_code(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path / "x.out")])
     assert code == 2

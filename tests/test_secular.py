@@ -1,6 +1,7 @@
 """Secular systems versus the closed-form kernels, and oracle membership."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qglattice.secular import (
     triangular_secular_det,
     triangular_secular_matrix,
 )
-from qglattice.bands import scan_bands
+from qglattice.bands import scan_bands, scan_negative_bands
 from qglattice.kernels import GeometryError
 
 
@@ -180,6 +181,32 @@ def test_oracle_rejects_gap_points():
     gap_mid = 0.5 * (cont[0].k_hi + cont[1].k_lo)
     assert not oracle_in_spectrum(gap_mid, spec)
     assert oracle_in_spectrum(0.5 * (cont[1].k_lo + cont[1].k_hi), spec)
+
+
+@pytest.mark.parametrize("spec", [
+    LatticeSpec.kagome(1.0, 3.0, 1.0), LatticeSpec.equilateral(1.0, 1.0), LatticeSpec.triangular(2.0, 1.0),
+], ids=["kagome", "equilateral", "triangular"])
+@pytest.mark.parametrize("side", ["positive", "negative"])
+def test_oracle_needs_no_kernel(monkeypatch, spec, side):
+    bs = scan_bands(spec, "positive", 12.0) if side == "positive" else scan_negative_bands(spec)
+    cont = bs.continuous
+    gap_mid = 0.5 * (cont[0].k_hi + cont[1].k_lo)
+    interior = 0.5 * (cont[1].k_lo + cont[1].k_hi)
+    flats = [iv.k_lo for iv in bs.flat]
+    assert flats or side == "negative"
+
+    def kernel_called(*args, **kwargs):
+        raise AssertionError("the oracle called a closed-form kernel")
+
+    for name, module in list(sys.modules.items()):
+        if name == "qglattice" or name.startswith("qglattice."):
+            for fn in ("lambda_arrays", "tri_bracket_pos", "tri_bracket_neg"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, kernel_called)
+    assert not oracle_in_spectrum(gap_mid, spec, side=side)
+    assert oracle_in_spectrum(interior, spec, side=side)
+    for k in flats:
+        assert oracle_in_spectrum(k, spec, side=side), k
 
 
 def test_oracle_grid_refinement_stability():
