@@ -6,14 +6,17 @@ at the zone center and at theta1 = -theta2 = +-2*pi/3, so a momentum lies in
 a continuous band exactly when the first kernel sits inside the strip
 spanned by the three extremal combinations of the other two.
 
-Scanning walks a momentum grid, refines every band edge by bisection, and
-additionally detects bands narrower than the grid step wherever the first
-kernel crosses the whole strip between two consecutive out-of-band probes
-(the two strip boundaries are bisected independently).  Bands that collapse
-exponentially with the cell size are found this way without any special
-resolution requirements.  Likewise, a run of in-band probes is split where
-two or more extremal brackets change sign between neighbours and all share
-a sign in between: a gap narrower than the grid step.
+Scanning walks a momentum grid, keeping per probe its in-band flag and the
+signs of the three extremal brackets.  Neighbouring probes whose flags or
+signs differ give edge events: the margin's zero where one probe is in band
+and the other is not, and the zero of each bracket that changes sign where
+both lie on the same side.  All events are bisected together, and one walk
+in momentum order opens and closes the bands.  Between two out-of-band
+probes the events recover a band narrower than the grid step (the first
+kernel crossing the whole strip), so bands that collapse exponentially with
+the cell size need no special resolution; between two in-band probes they
+cut out a gap narrower than the step wherever two or more brackets change
+sign and all share a sign in between.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ DEGENERATE_TRIG_TOL = 1.0e-9
 
 
 class InternalConsistencyError(RuntimeError):
-    """A scan violated a proven structural bound (signals a defect)."""
+    """A scan violated a proven structural bound or met a non-finite bracket (signals a defect)."""
 
 
 @dataclass(frozen=True)
@@ -184,33 +187,37 @@ def _extremal_brackets(x, side, spec: LatticeSpec):
     return tri_bracket(x, 3.0, spec), corner, corner
 
 
-def _strip_components(x, side, spec: LatticeSpec):
-    """(over_hi, under_lo) for scalar or array momentum.
-
-    over_hi > 0 means the first kernel is above the admissible strip,
-    under_lo > 0 below it; the momentum is in a band iff both are <= 0,
-    i.e. iff the extremal brackets change sign.  Both components are
-    continuous in x.
-    """
-    return _strip_of(_extremal_brackets(x, side, spec))
-
-
-def _strip_of(brackets):
+def _margin_of(brackets):
+    """Strip margin max(min B, -max B) of the extremal brackets, continuous
+    in x: <= 0 exactly where they change sign, i.e. in a band."""
     b0, bp, bm = brackets
-    return np.minimum(b0, np.minimum(bp, bm)), -np.maximum(b0, np.maximum(bp, bm))
+    return np.maximum(np.minimum(b0, np.minimum(bp, bm)), -np.maximum(b0, np.maximum(bp, bm)))
+
+
+def _margin(x, side, spec: LatticeSpec):
+    return _margin_of(_extremal_brackets(x, side, spec))
 
 
 def _strip_step(xs, side, spec: LatticeSpec):
-    """_strip_components of a probe array plus its sign bits: bit j of each
-    uint8 is set where extremal bracket j is positive."""
+    """In-band flags of a probe array and its sign bits: bit j of each uint8
+    is set where extremal bracket j is positive.
+
+    A non-finite bracket (an overflowing kernel) raises: its sign bits and
+    margin would say nothing about membership.
+    """
     brackets = _extremal_brackets(xs, side, spec)
     bits = np.zeros(xs.shape, np.uint8)
     for j, b in enumerate(brackets):
+        finite = np.isfinite(b)
+        if not finite.all():
+            raise InternalConsistencyError(
+                f"{spec.kind} {side} scan: non-finite extremal bracket at momentum {xs[~finite][0]:.9g}"
+            )
         bits |= (b > 0.0).view(np.uint8) << j
-    return (*_strip_of(brackets), bits)
+    return _margin_of(brackets) <= 0.0, bits
 
 
-def _strip_components_chunked(xs, side, spec: LatticeSpec):
+def _strip_step_chunked(xs, side, spec: LatticeSpec):
     """_strip_step, split over the thread pool for long probe arrays."""
     n = _thread_count()
     if n <= 1 or xs.size < 200_000:
@@ -218,12 +225,7 @@ def _strip_components_chunked(xs, side, spec: LatticeSpec):
     chunks = np.array_split(xs, n)
     with ThreadPoolExecutor(max_workers=n) as pool:
         parts = list(pool.map(lambda ch: _strip_step(ch, side, spec), chunks))
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
-
-
-def _margin(x, side, spec: LatticeSpec):
-    oh, ul = _strip_components(x, side, spec)
-    return np.maximum(oh, ul)
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _require_positive(name, value) -> None:
@@ -432,51 +434,20 @@ def kagome_collapse_roots(spec: LatticeSpec) -> tuple:
     return lo_root, hi_root
 
 
-def _sub_step_gaps(probes, inb, signs, side, spec: LatticeSpec) -> list:
-    """Gaps narrower than the probe step between two in-band probes.
-
-    Where two or more extremal brackets change sign between in-band
-    neighbours, the brackets may all share a sign for a while in between.
-    Each changed bracket's zero is bisected (one call per bracket), and the
-    zeros of each pair are walked in order.
-    """
-    flips = signs[1:] ^ signs[:-1]
-    # x & (x - 1) != 0: two or more bits changed
-    pairs = np.flatnonzero(inb[:-1] & inb[1:] & ((flips & (flips - 1)) != 0))
-    flips = flips[pairs]
-    zeros = np.zeros((3, pairs.size))
-    for j in range(3):
-        sel = (flips >> j) & 1 == 1
-        if sel.any():
-            bracket_j = lambda xs: _extremal_brackets(xs, side, spec)[j]
-            zeros[j, sel] = _bisect_vec(bracket_j, probes[pairs[sel]], probes[pairs[sel] + 1])
-    gaps = []
-    for i, p in enumerate(pairs):
-        state, start = int(signs[p]), None
-        for z, j in sorted((zeros[j, i], j) for j in range(3) if flips[i] >> j & 1):
-            state ^= 1 << j
-            if state in (0, 7):
-                start = z
-            elif start is not None:
-                gaps.append((float(start), float(z)))
-                start = None
-    return gaps
-
-
-def _split_runs(runs, gaps) -> list:
-    """Cut the sorted in-band runs at the sorted sub-step gaps inside them."""
-    out, j = [], 0
-    for k_lo, k_hi, lo_zero, hi_trunc in runs:
-        while j < len(gaps) and gaps[j][1] <= k_hi:
-            out.append((k_lo, gaps[j][0], lo_zero, False))
-            k_lo, lo_zero = gaps[j][1], False
-            j += 1
-        out.append((k_lo, k_hi, lo_zero, hi_trunc))
-    return out
-
-
 def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: float):
-    """Grid scan with edge bisection and narrow-band (strip-crossing) recovery."""
+    """Continuous bands as sorted (k_lo, k_hi, hi_trunc) tuples.
+
+    One bisection pass over every edge event and one walk in momentum order.
+    A pair of neighbouring probes with one in band and one out gives the
+    margin's zero, bisected towards the in-band probe.  A pair on the same
+    side gives the zero of each bracket that changes sign, bisected towards
+    the right-hand probe; a lone change between two in-band probes moves no
+    edge and is skipped.  The walk restarts from each pair's left-probe sign
+    bits and opens or closes a band wherever the state enters or leaves the
+    strip.  A band that holds the first probe starts at zero (X_FLOOR is
+    always probed, or else every probe lies below it); hi_trunc marks one
+    still in band at the last probe.
+    """
     n = max(8, int(math.floor(x_max / resolution)))
     probes = np.arange(1, n + 1) * (x_max / n)
     extra = [X_FLOOR]
@@ -498,73 +469,53 @@ def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: flo
         # the isolated flat point is not part of any continuous band
         probes = probes[np.abs(probes - flat_point) > 1e-9 * flat_point]
 
-    oh, ul, signs = _strip_components_chunked(probes, side, spec)
-    margin = np.maximum(oh, ul)
-    inb = margin <= 0.0
+    inb, bits = _strip_step_chunked(probes, side, spec)
 
-    margin_fn = lambda xs: _margin(xs, side, spec)
-    over_fn = lambda xs: _strip_components(xs, side, spec)[0]
-    under_fn = lambda xs: _strip_components(xs, side, spec)[1]
+    # edge events (pair index, selector): selector j < 3 is bracket j, 3 the margin
+    flips = bits[1:] ^ bits[:-1]
+    cross = inb[:-1] != inb[1:]
+    # x & (x - 1) != 0: two or more bits changed (all three between out-of-band probes)
+    same = ~cross & ((flips & (flips - 1)) != 0)
+    pairs = [np.flatnonzero(same & ((flips >> j) & 1 == 1)) for j in range(3)] + [np.flatnonzero(cross)]
+    pair = np.concatenate(pairs)
+    which = np.repeat(np.arange(4), [p.size for p in pairs])
+    toward_left = (which == 3) & inb[pair]
 
-    intervals = []
+    def event_fn(xs):
+        brackets = _extremal_brackets(xs, side, spec)
+        return np.choose(which, (*brackets, _margin_of(brackets)))
 
-    # runs of in-band probes
-    idx = np.flatnonzero(inb)
-    if idx.size:
-        run_starts = idx[np.concatenate(([True], np.diff(idx) > 1))]
-        run_ends = idx[np.concatenate((np.diff(idx) > 1, [True]))]
-        lo_out, lo_in, lo_fixed = [], [], {}
-        hi_out, hi_in, hi_fixed = [], [], {}
-        for r, (a, b) in enumerate(zip(run_starts, run_ends)):
-            if a == 0:
-                # in-band at the floor probe: the band reaches zero
-                lo_fixed[r] = 0.0 if probes[0] <= X_FLOOR * (1 + 1e-12) else probes[0]
-            else:
-                lo_out.append(probes[a - 1])
-                lo_in.append(probes[a])
-            if b == len(probes) - 1:
-                hi_fixed[r] = probes[-1]
-            else:
-                hi_out.append(probes[b + 1])
-                hi_in.append(probes[b])
-        lo_edges = _bisect_vec(margin_fn, np.array(lo_out), np.array(lo_in)) if lo_out else np.array([])
-        hi_edges = _bisect_vec(margin_fn, np.array(hi_out), np.array(hi_in)) if hi_out else np.array([])
-        i_lo = i_hi = 0
-        for r in range(len(run_starts)):
-            if r in lo_fixed:
-                k_lo = lo_fixed[r]
-            else:
-                k_lo = float(lo_edges[i_lo])
-                i_lo += 1
-            if r in hi_fixed:
-                k_hi = hi_fixed[r]
-            else:
-                k_hi = float(hi_edges[i_hi])
-                i_hi += 1
-            intervals.append((k_lo, k_hi, r in lo_fixed and k_lo == 0.0, r in hi_fixed))
-        intervals = _split_runs(intervals, _sub_step_gaps(probes, inb, signs, side, spec))
+    # _bisect_vec returns the hi side: the in-band probe's for a margin zero,
+    # the right-hand probe's for a bracket zero
+    zeros = _bisect_vec(event_fn, probes[pair + toward_left], probes[pair + ~toward_left])
 
-    # strip crossings between consecutive out-of-band probes: a band narrower
-    # than the grid step, recovered by bisecting both strip boundaries
-    out_pair = ~inb[:-1] & ~inb[1:]
-    above = oh > 0.0
-    crossing = np.flatnonzero(out_pair & (above[:-1] != above[1:]))
-    if crossing.size:
-        r1 = _bisect_vec(over_fn, probes[crossing], probes[crossing + 1])
-        r2 = _bisect_vec(under_fn, probes[crossing], probes[crossing + 1])
-        for a, b in zip(np.minimum(r1, r2), np.maximum(r1, r2)):
-            intervals.append((float(a), float(b), False, False))
+    runs, start, last = [], 0.0 if inb[0] else None, -1
+    order = np.lexsort((which, zeros, pair))
+    for p, j, z in zip(pair[order].tolist(), which[order].tolist(), zeros[order].tolist()):
+        if p != last:
+            state, last = int(bits[p]), p
+        if j == 3:
+            inside = not inb[p]
+        else:
+            state ^= 1 << j
+            inside = state not in (0, 7)
+        if inside and start is None:
+            start = z
+        elif not inside and start is not None:
+            runs.append((start, z, False))
+            start = None
+    if start is not None:
+        runs.append((start, float(probes[-1]), True))
 
-    intervals.sort()
     # merge overlaps and stitch intervals separated by less than the edge tolerance
     merged = []
-    for k_lo, k_hi, lo_fix, hi_fix in intervals:
+    for k_lo, k_hi, hi_trunc in runs:
         if merged and k_lo <= merged[-1][1] + EDGE_RTOL * max(1.0, k_lo):
             prev = merged[-1]
             if k_hi > prev[1]:
-                merged[-1] = (prev[0], k_hi, prev[2], hi_fix)
+                merged[-1] = (prev[0], k_hi, hi_trunc)
         else:
-            merged.append((k_lo, k_hi, lo_fix, hi_fix))
+            merged.append((k_lo, k_hi, hi_trunc))
     return merged
 
 
@@ -603,14 +554,14 @@ def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
     # identically in theta is an infinitely degenerate eigenvalue, reported
     # as a flat or point interval instead of a continuous band
     cleaned = [
-        (k_lo, k_hi, lo_zero, hi_trunc) for k_lo, k_hi, lo_zero, hi_trunc in raw
+        (k_lo, k_hi, hi_trunc) for k_lo, k_hi, hi_trunc in raw
         if not (k_hi - k_lo < 1e-10 * max(1.0, k_hi)
                 and any(abs(0.5 * (k_lo + k_hi) - p) < 1e-8 * max(1.0, p) for p in point_momenta))
     ]
 
     # label every bisected edge (None at zero and at the scan cutoff) in one evaluation
-    edges = [(None if (lo_zero or k_lo == 0.0) else k_lo, None if hi_trunc else k_hi)
-             for k_lo, k_hi, lo_zero, hi_trunc in cleaned]
+    edges = [(None if k_lo == 0.0 else k_lo, None if hi_trunc else k_hi)
+             for k_lo, k_hi, hi_trunc in cleaned]
     labels = iter(_edge_theta([k for pair in edges for k in pair if k is not None], side, spec))
     intervals = [
         SpectralInterval(iv[0], iv[1], side, "continuous", *(None if k is None else next(labels) for k in pair))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandStructure, scan_bands
+from .bands import BandStructure, _require_positive, scan_bands
 from .kernels import LatticeSpec
 
 
@@ -54,10 +54,9 @@ def band_measure(bands: BandStructure, K_energy: float) -> ProbabilityEstimate:
     Flat bands and point-degenerate bands have measure zero and do not
     contribute.  The scan must reach momentum sqrt(K_energy).
     """
+    _require_positive("K_energy", K_energy)
     if bands.side != "positive":
         raise ValueError("band measure is defined on the positive energy axis")
-    if K_energy <= 0.0:
-        raise ValueError("K_energy must be positive")
     if bands.scan_k_max ** 2 < K_energy * (1.0 - 1e-12):
         raise InsufficientScanError(
             f"scan reaches k={bands.scan_k_max:g} (E={bands.scan_k_max ** 2:g}) "
@@ -75,6 +74,7 @@ def band_measure(bands: BandStructure, K_energy: float) -> ProbabilityEstimate:
 def finite_scan_probability(spec: LatticeSpec, K_energy: float,
                             resolution: float | None = None) -> ProbabilityEstimate:
     """Scan up to sqrt(K_energy) and integrate: one-call finite-cutoff estimate."""
+    _require_positive("K_energy", K_energy)
     k_max = math.sqrt(K_energy)
     bands = scan_bands(spec, "positive", k_max, resolution)
     return band_measure(bands, K_energy)

@@ -73,6 +73,7 @@ def _edge_distance(k, bands):
     return min(dists)
 
 
+@pytest.mark.slow
 def test_acceptance_05_oracle_equivalence():
     rng = np.random.default_rng(2024)
     specs = [

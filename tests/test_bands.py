@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from qglattice.bands import (
+    InternalConsistencyError,
     _extremal_brackets,
     _margin,
-    _strip_components,
-    _strip_components_chunked,
+    _strip_step_chunked,
     bracket_theta_gradient,
     detect_gap_closings,
     flat_bands,
@@ -55,6 +55,7 @@ def test_inverse_ell_in_negative_spectrum():
         assert in_band(1.0 / ell, "negative", LatticeSpec.kagome(c, d, ell))
 
 
+@pytest.mark.slow
 def test_membership_matches_oracle():
     spec = LatticeSpec.kagome(1.0, 1.0 + math.sqrt(5.0), 1.0)
     rng = np.random.default_rng(11)
@@ -101,6 +102,7 @@ def test_triangular_first_band_threshold_examples():
     assert first.k_lo > 0.5
 
 
+@pytest.mark.slow
 def test_scan_edges_match_oracle_scan():
     # dual route: rebuild the band edges below k = 8 from the determinant
     # oracle alone (grid plus bisection on the membership boolean) and
@@ -252,7 +254,7 @@ def test_negative_band_count_bounds():
 
 
 def test_triangular_negative_band_locations():
-    for d in (0.7, 2.0, 6.0):
+    for d in (0.7, 2.0, 6.0, 20.0):
         spec = LatticeSpec.triangular(d, 1.0)
         lo, hi = scan_negative_bands(spec).continuous
         assert hi.k_lo > 1.0 > lo.k_hi  # one band on each side of kappa = 1/ell
@@ -269,6 +271,18 @@ def test_equilateral_negative_flat_band_isolated():
     assert len(cont) == 2
     assert cont[0].k_hi < 1.0 < cont[1].k_lo  # one band below and one above -1/ell^2
     assert all(not (iv.k_lo <= 1.0 <= iv.k_hi) for iv in cont)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+@pytest.mark.parametrize("spec", [LatticeSpec.triangular(100.0, 1.0),
+                                  LatticeSpec.kagome(100.0 / ((1.0 + math.sqrt(5.0)) / 2.0), 100.0, 1.0)],
+                         ids=["triangular", "kagome"])
+def test_overflowing_negative_scan_raises(spec):
+    # the hyperbolic kernels overflow at large kappa * d; the sign bits and
+    # margin say nothing there, so the scan must stop instead of reading
+    # those probes as out of band (or a NaN pair as a strip crossing)
+    with pytest.raises(InternalConsistencyError, match="non-finite"):
+        scan_negative_bands(spec)
 
 
 def test_negative_scan_argument_guard():
@@ -404,11 +418,10 @@ def test_chunked_margin_evaluation_matches_direct(monkeypatch):
     spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
     xs = np.linspace(0.01, 30.0, 250_000)
     monkeypatch.setenv("QG_THREADS", "2")
-    oh_c, ul_c, signs_c = _strip_components_chunked(xs, "positive", spec)
-    oh, ul = _strip_components(xs, "positive", spec)
-    assert np.array_equal(oh_c, oh) and np.array_equal(ul_c, ul)
+    inb, signs = _strip_step_chunked(xs, "positive", spec)
+    assert np.array_equal(inb, _margin(xs, "positive", spec) <= 0.0)
     bits = sum((b > 0.0).astype(np.uint8) << j for j, b in enumerate(_extremal_brackets(xs, "positive", spec)))
-    assert np.array_equal(signs_c, bits)
+    assert np.array_equal(signs, bits)
 
 
 def test_csv_rows_and_dict_shapes():

@@ -174,6 +174,23 @@ def test_non_finite_or_non_positive_input_exit_code(tmp_path, capsys, argv):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["probability", "--kind", "kagome", "--c", "1", "--d", "3", "--K", "-1"],
+    ["sweep", "--ratios", "0.4", "--d", "1", "--K", "-4"],
+], ids=["probability", "sweep"])
+def test_negative_cutoff_names_k_energy(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "x.out")])
+    assert code == 2
+    assert "K_energy" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+def test_overflowing_negative_scan_exit_code(tmp_path, capsys):
+    code = main(["negative", "--kind", "triangular", "--d", "100", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "internal consistency failure" in capsys.readouterr().err
+
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 #: Checked-in artifacts and the arguments that wrote them.

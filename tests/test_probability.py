@@ -55,6 +55,12 @@ def test_band_measure_requires_covering_scan():
         band_measure(scan_bands(LatticeSpec.kagome(1.0, 3.0, 1.0), "negative", 5.0), 4.0)
 
 
+def test_band_measure_rejects_nan_cutoff():
+    bs = _synthetic_bands([(0.5, 1.0)], 2.0)
+    with pytest.raises(ValueError, match="K_energy"):
+        band_measure(bs, float("nan"))
+
+
 def test_torus_estimate_value():
     est = torus_probability(LatticeSpec.kagome(1.0, GOLDEN, 1.0), grid_n=500)
     assert est.value == pytest.approx(0.639081, abs=1e-2)

@@ -209,6 +209,7 @@ def test_oracle_needs_no_kernel(monkeypatch, spec, side):
         assert oracle_in_spectrum(k, spec, side=side), k
 
 
+@pytest.mark.slow
 def test_oracle_grid_refinement_stability():
     spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
     rng = np.random.default_rng(45)
