@@ -28,7 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, root
 
 from .kernels import (
     EXTREMAL_THETAS,
@@ -239,7 +238,10 @@ def in_band(x, side, spec: LatticeSpec) -> bool:
     Edges count as inside (spectra are closed sets).
     """
     _require_positive("momentum argument", x)
-    return bool(_margin(float(x), side, spec) <= 0.0)
+    brackets = _extremal_brackets(float(x), side, spec)
+    if not np.isfinite(brackets).all():
+        raise InternalConsistencyError(f"{spec.kind} {side}: non-finite extremal bracket at momentum {x:.9g}")
+    return bool(_margin_of(brackets) <= 0.0)
 
 
 def bracket_theta_gradient(x, side, theta: Quasimomentum, spec: LatticeSpec):
@@ -333,6 +335,74 @@ def negative_flat_bands(spec: LatticeSpec) -> list:
 # --------------------------------------------------------------------------
 # scanning
 
+def brentq(f, a, b, xtol, rtol, max_iter=100):
+    """Root of f in [a, b] by Brent's method, step for step as scipy's brentq.c
+    (so it returns the same floats).  A bracket without a sign change, a NaN
+    value or no convergence in max_iter steps raises.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise InternalConsistencyError(f"root solve: NaN function value at {x:.17g}")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise InternalConsistencyError(f"root solve: no sign change on [{a:.17g}, {b:.17g}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(max_iter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better estimate in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless a trial step is taken below
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise InternalConsistencyError(f"root solve: no convergence in {max_iter} steps on [{a:.17g}, {b:.17g}]")
+
+
+def root(fn, x0, tol=1e-13, max_iter=50):
+    """Zero of fn: R^2 -> R^2 by Newton's method from x0; the Jacobian is a central
+    difference with step 1e-7 max(1, |x|).  Stops once each step component is at most
+    tol max(1, |x|); None on a singular Jacobian, a non-finite step or no convergence.
+    """
+    x = np.array(x0, dtype=float)
+    for _ in range(max_iter):
+        h = 1e-7 * np.maximum(1.0, np.abs(x))
+        jac = np.column_stack([np.subtract(fn(x + e), fn(x - e)) / (2.0 * hj) for hj, e in zip(h, np.diag(h))])
+        try:
+            step = np.linalg.solve(jac, -np.asarray(fn(x), dtype=float))
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(step).all():
+            return None
+        x = x + step
+        if (np.abs(step) <= tol * np.maximum(1.0, np.abs(x))).all():
+            return x
+    return None
+
+
 def _bisect_vec(fn, lo, hi, rtol=EDGE_RTOL, max_iter=90):
     """Vectorized bisection of sign changes of fn between lo and hi arrays.
 
@@ -390,18 +460,22 @@ def _negative_seeds(spec: LatticeSpec, kappa_max: float) -> list:
         # zeros of the reduced condition F(kappa) = 0 bracket the flat point
         seeds = []
         f = lambda kp: float(kagome_equilateral_F(kp, spec))
-        lo, hi = 1e-9 * inv, inv * (1.0 - 1e-9)
-        if f(lo) * f(hi) < 0:
-            seeds.append(brentq(f, lo, hi, xtol=1e-14))
         hi2 = 2.0 * inv
         while f(hi2) < 0 and hi2 < 64.0 * inv:
             hi2 *= 2.0
-        if f(inv * (1.0 + 1e-9)) * f(hi2) < 0:
-            seeds.append(brentq(f, inv * (1.0 + 1e-9), hi2, xtol=1e-14))
+        for lo, hi in ((1e-9 * inv, inv * (1.0 - 1e-9)), (inv * (1.0 + 1e-9), hi2)):
+            if f(lo) * f(hi) < 0:
+                seeds.append(brentq(f, lo, hi, xtol=1e-14, rtol=4.0 * np.finfo(float).eps))
         return [s for s in seeds if s < kappa_max]
     seeds = [inv]  # -1/ell^2 always belongs to the kagome spectrum
     seeds.extend(r for r in kagome_collapse_roots(spec) if r < kappa_max)
     return seeds
+
+
+def _collapse_in_units(t, a):
+    """The collapse function at t = kappa ell for c / ell = a."""
+    x = t ** 2
+    return 4.0 * (np.exp(-t * a) + 1.0) * (x - 1.0) ** 2 + np.exp(-2.0 * t * a) * (x * x - 14.0 * x + 1.0)
 
 
 def kagome_collapse_function(kappa, spec: LatticeSpec):
@@ -412,26 +486,24 @@ def kagome_collapse_function(kappa, spec: LatticeSpec):
     values 9 at kappa = 0 and -12 e^(-2c/ell) at kappa = 1/ell, and grows
     to +infinity.
     """
-    c, ell = spec.c, spec.ell
-    x = (kappa * ell) ** 2
-    return 4.0 * (np.exp(-kappa * c) + 1.0) * (x - 1.0) ** 2 + np.exp(-2.0 * kappa * c) * (x * x - 14.0 * x + 1.0)
+    return _collapse_in_units(kappa * spec.ell, spec.c / spec.ell)
 
 
 def kagome_collapse_roots(spec: LatticeSpec) -> tuple:
     """The two roots of the collapse function, one on each side of 1/ell."""
     if not spec.is_kagome:
         raise GeometryError("collapse function is a kagome quantity")
-    inv = 1.0 / spec.ell
-    f = lambda kp: float(kagome_collapse_function(kp, spec))
-    # certified sign brackets: f(0) = 9 > 0 > f(1/ell), f(+inf) = +inf
-    lo_root = brentq(f, 1e-12 * inv, inv, xtol=1e-15, rtol=1e-15)
-    hi = 2.0 * inv
+    a = spec.c / spec.ell
+    f = lambda t: float(_collapse_in_units(t, a))
+    # certified sign brackets in t = kappa ell, where t = 1 is exact: f(0) = 9 > 0 > f(1), f(+inf) = +inf
+    lo_root = brentq(f, 1e-12, 1.0, xtol=1e-15, rtol=1e-15)
+    hi = 2.0
     while f(hi) <= 0.0:
         hi *= 2.0
-        if hi > 64.0 * inv:  # pragma: no cover
+        if hi > 64.0:  # pragma: no cover
             raise InternalConsistencyError("upper collapse root escaped its bracket")
-    hi_root = brentq(f, inv, hi, xtol=1e-15, rtol=1e-15)
-    return lo_root, hi_root
+    hi_root = brentq(f, 1.0, hi, xtol=1e-15, rtol=1e-15)
+    return lo_root / spec.ell, hi_root / spec.ell
 
 
 def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: float):
@@ -656,20 +728,17 @@ def detect_gap_closings(spec: LatticeSpec, k_window: tuple, d_window: tuple,
         ks = np.linspace(k_lo, k_hi, grid_n)
         ds = np.linspace(d_lo, d_hi, grid_n)
         kk, dd_grid = np.meshgrid(ks, ds, indexing="ij")
-        gk = _delta_fixed_theta(kk + 1j * _CSTEP, dd_grid, spec, side, f, g).imag / _CSTEP
-        gd = _delta_fixed_theta(kk, dd_grid + 1j * _CSTEP, spec, side, f, g).imag / _CSTEP
-        sk = np.sign(gk)
-        sd = np.sign(gd)
+        sk, sd = np.sign(grad((kk, dd_grid)))
         cells = np.argwhere(
             ((sk[:-1, :-1] != sk[1:, :-1]) | (sk[:-1, :-1] != sk[:-1, 1:]))
             & ((sd[:-1, :-1] != sd[1:, :-1]) | (sd[:-1, :-1] != sd[:-1, 1:]))
         )
         for i, j in cells:
             x0 = (0.5 * (ks[i] + ks[i + 1]), 0.5 * (ds[j] + ds[j + 1]))
-            sol = root(grad, x0, method="hybr", tol=1e-13)
-            if not sol.success:
+            sol = root(grad, x0)
+            if sol is None:
                 continue
-            k_star, d_star = sol.x
+            k_star, d_star = sol
             if not (k_lo - 1e-9 <= k_star <= k_hi + 1e-9 and d_lo - 1e-9 <= d_star <= d_hi + 1e-9):
                 continue
             delta = _delta_fixed_theta(k_star, d_star, spec, side, f, g)

@@ -122,6 +122,17 @@ def test_collapse_function_endpoint_values():
         assert 0.0 < lo < 1.0 / ell < hi
 
 
+@pytest.mark.parametrize("a", [0.5, 3.0, 40.0])
+def test_collapse_roots_scale_with_ell(a):
+    # the roots depend on c and ell only through kappa ell and c / ell; solved
+    # in those units, the exact bracket endpoint kappa ell = 1 keeps its sign
+    # even where the collapse function there is about -12 e^(-80)
+    ref = kagome_collapse_roots(LatticeSpec.kagome(a, 1.125 * a, 1.0))
+    for ell in (0.3, 7.0, 49.0):
+        roots = kagome_collapse_roots(LatticeSpec.kagome(a * ell, 1.125 * a * ell, ell))
+        assert [r * ell for r in roots] == pytest.approx(ref, rel=0.0, abs=1e-14)
+
+
 def test_kagome_limit_set_contains_inverse_ell_energy():
     spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
     limits = kagome_negative_large_d(spec)

@@ -1,20 +1,30 @@
 """Band membership, spectrum scans, flat-band enumeration, gap closings."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from qglattice import bands
 from qglattice.bands import (
     InternalConsistencyError,
     _extremal_brackets,
     _margin,
+    _negative_seeds,
     _strip_step_chunked,
     bracket_theta_gradient,
+    brentq,
     detect_gap_closings,
     flat_bands,
     in_band,
+    kagome_collapse_roots,
     negative_flat_bands,
+    root,
     scan_bands,
     scan_negative_bands,
     spectral_threshold,
@@ -285,6 +295,15 @@ def test_overflowing_negative_scan_raises(spec):
         scan_negative_bands(spec)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kappa", [8.0, 3.6], ids=["nan", "inf"])
+def test_in_band_rejects_non_finite_bracket(kappa):
+    # at kappa d of several hundred the kernels overflow (a NaN margin at
+    # kappa = 8, +inf at 3.6); membership must not be read from them
+    with pytest.raises(InternalConsistencyError, match="non-finite"):
+        in_band(kappa, "negative", LatticeSpec.triangular(100.0, 1.0))
+
+
 def test_negative_scan_argument_guard():
     with pytest.raises(ValueError):
         scan_negative_bands(LatticeSpec.triangular(1.0, 1.0), kappa_max=1.0)
@@ -347,6 +366,70 @@ def test_gap_closings_negative_side_at_corner_quasimomenta():
     for k, d, theta in found:
         # negative-side crossings happen at theta1 = -theta2 = +-2*pi/3 only
         assert theta in {(2 * math.pi / 3, -2 * math.pi / 3), (-2 * math.pi / 3, 2 * math.pi / 3)}
+
+
+GAP_WINDOWS = [((1.8, 2.6), (2.1, 3.6), "positive"), ((0.5, 2.2), (2.0, 4.5), "negative")]
+
+
+def test_gap_closings_match_hybr_reference(monkeypatch):
+    spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
+    found = [detect_gap_closings(spec, kw, dw, side=side, grid_n=32) for kw, dw, side in GAP_WINDOWS]
+
+    def hybr(fn, x0, tol=1e-13):
+        sol = scipy.optimize.root(fn, x0, method="hybr", tol=tol)
+        return sol.x if sol.success else None
+
+    monkeypatch.setattr(bands, "root", hybr)
+    reference = [detect_gap_closings(spec, kw, dw, side=side, grid_n=32) for kw, dw, side in GAP_WINDOWS]
+    for ours, ref in zip(found, reference):
+        assert len(ours) == len(ref) > 0
+        for (k, d, theta), (k_ref, d_ref, theta_ref) in zip(ours, ref):
+            assert theta == theta_ref
+            assert abs(k - k_ref) <= 1e-12 and abs(d - d_ref) <= 1e-12
+
+
+# --------------------------------------------------------------------------
+# root solvers
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, qglattice; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_brentq_matches_scipy_bit_for_bit(monkeypatch):
+    # every bracket the module solves: both collapse roots and both
+    # equilateral F = 0 seeds of seeded random lattices
+    pairs = []
+
+    def both(f, a, b, xtol, rtol, max_iter=100):
+        ours = brentq(f, a, b, xtol, rtol, max_iter)
+        pairs.append((ours, scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=max_iter)))
+        return ours
+
+    monkeypatch.setattr(bands, "brentq", both)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        ell = rng.uniform(0.3, 3.0)
+        c = rng.uniform(0.05, 40.0) * ell
+        kagome_collapse_roots(LatticeSpec.kagome(c, 1.5 * c, ell))
+        _negative_seeds(LatticeSpec.equilateral(c, ell), math.inf)
+    assert len(pairs) > 600
+    assert all(ours.hex() == ref.hex() for ours, ref in pairs)
+
+
+def test_brentq_without_sign_change_raises():
+    with pytest.raises(InternalConsistencyError, match="no sign change"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-15)
+
+
+def test_newton_root_converges_or_returns_none():
+    x = root(lambda v: [v[0] ** 2 - 2.0, v[0] * v[1] - 3.0], (1.0, 1.0))
+    assert list(x) == pytest.approx([math.sqrt(2.0), 3.0 / math.sqrt(2.0)], rel=1e-15)
+    assert root(lambda v: [v[0] + v[1], 2.0 * (v[0] + v[1]) - 1.0], (0.0, 0.0)) is None  # singular Jacobian
 
 
 # --------------------------------------------------------------------------

@@ -56,6 +56,17 @@ def test_negative_csv(tmp_path):
     assert types.count("continuous") == 2 and types.count("flat") == 1
 
 
+def test_negative_kagome_large_cell_at_any_ell(tmp_path):
+    # kagome(40, 45, 1) in cells of ell = 49, where (1/ell) * ell != 1: the
+    # collapse roots keep their certified bracket (three bands, as at ell = 1)
+    code, out = _run(tmp_path, "neg49.csv", [
+        "negative", "--kind", "kagome", "--c", "1960", "--d", "2205", "--ell", "49", "--kappa-max", "0.0715",
+    ])
+    assert code == 0
+    types = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
+    assert types == ["continuous"] * 3
+
+
 def test_flatbands_csv(tmp_path):
     code, out = _run(tmp_path, "fb.csv", [
         "flatbands", "--kind", "equilateral", "--c", "1", "--k-max", "7",
