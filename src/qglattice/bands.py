@@ -40,12 +40,8 @@ from .kernels import (
     tri_bracket_neg,
     tri_bracket_pos,
     _fg_arrays,
-    _lambda1_neg,
-    _lambda1_pos,
-    _lambda2_neg,
-    _lambda2_pos,
-    _lambda3_neg,
-    _lambda3_pos,
+    _lambdas,
+    _require_side,
 )
 
 #: Band edges are bisected until the bracket width drops below this,
@@ -60,6 +56,9 @@ X_FLOOR = 1.0e-6
 #: Tolerance of the trigonometric criterion 2 cos(L/ell) + 1 = 0 locating
 #: point-degenerate bands.
 DEGENERATE_TRIG_TOL = 1.0e-9
+
+#: Largest number of grid probes (k_max / resolution) a scan accepts.
+MAX_PROBES = 100_000_000
 
 
 class InternalConsistencyError(RuntimeError):
@@ -237,6 +236,7 @@ def in_band(x, side, spec: LatticeSpec) -> bool:
 
     Edges count as inside (spectra are closed sets).
     """
+    _require_side(side)
     _require_positive("momentum argument", x)
     brackets = _extremal_brackets(float(x), side, spec)
     if not np.isfinite(brackets).all():
@@ -432,21 +432,20 @@ def _edge_theta(xs, side, spec: LatticeSpec) -> list:
     return [EXTREMAL_THETAS[i] for i in np.argmin(brackets, axis=0)]
 
 
-def _local_band(spec: LatticeSpec, side: str, lo: float, hi: float,
-                n_probes: int = 20001) -> SpectralInterval | None:
-    """Span from the first to the last band point of a probed window [lo, hi].
+def _local_band(spec: LatticeSpec, side: str, lo: float, hi: float) -> SpectralInterval | None:
+    """Span from the first to the last band point of [lo, hi], probed at 20001 points.
 
     Edges inside the window are bisected; an edge at the window boundary is
     the boundary itself.  None if no probe lies in a band.
     """
-    probes = np.linspace(lo, hi, n_probes)
+    probes = np.linspace(lo, hi, 20001)
     idx = np.flatnonzero(_margin(probes, side, spec) <= 0.0)
     if idx.size == 0:
         return None
     a, b = idx[0], idx[-1]
     margin_fn = lambda xs: _margin(xs, side, spec)
     k_lo = probes[a] if a == 0 else float(_bisect_vec(margin_fn, np.array([probes[a - 1]]), np.array([probes[a]]))[0])
-    k_hi = probes[b] if b == n_probes - 1 else float(_bisect_vec(margin_fn, np.array([probes[b + 1]]), np.array([probes[b]]))[0])
+    k_hi = probes[b] if b == probes.size - 1 else float(_bisect_vec(margin_fn, np.array([probes[b + 1]]), np.array([probes[b]]))[0])
     return SpectralInterval(k_lo, k_hi, side)
 
 
@@ -601,12 +600,13 @@ def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
     bands are never missed, and the structural band-count bounds (at most
     three for kagome, two for triangular) are asserted.
     """
-    if side not in ("positive", "negative"):
-        raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
+    _require_side(side)
     _require_positive("k_max", k_max)
     if resolution is None:
         resolution = 2.0 * math.pi / (1000.0 * spec.d) if side == "positive" else k_max / 5000.0
     _require_positive("resolution", resolution)
+    if k_max / resolution > MAX_PROBES:
+        raise ValueError(f"k_max / resolution = {k_max / resolution:.3g} probes, the limit is {MAX_PROBES:.0e}")
     if resolution > math.pi / (20.0 * spec.d):
         warnings.warn(
             f"resolution {resolution:g} is coarser than pi/(20 d); narrow bands may degrade",
@@ -680,31 +680,15 @@ def spectral_threshold(spec: LatticeSpec) -> SpectralThresholds:
 _CSTEP = 1.0e-100
 
 
-def _delta_fixed_theta(x, d, spec: LatticeSpec, side: str, f: float, g: float):
-    """Kagome bracket at fixed quasimomentum weights, with free cell period d.
-
-    Accepts complex x and d (used for complex-step differentiation).
-    """
-    c, ell = spec.c, spec.ell
-    if side == "positive":
-        l1 = _lambda1_pos(x, c, d, ell)
-        l2 = _lambda2_pos(x, c, d, ell)
-        l3 = _lambda3_pos(x, c, d, ell)
-    else:
-        l1 = _lambda1_neg(x, c, d, ell)
-        l2 = _lambda2_neg(x, c, d, ell)
-        l3 = _lambda3_neg(x, c, d, ell)
-    return l1 - l2 * f - l3 * g
-
-
 def detect_gap_closings(spec: LatticeSpec, k_window: tuple, d_window: tuple,
                         side: str = "positive", grid_n: int = 48) -> list:
     """Parameter points where neighboring band edges touch.
 
     At the extremal quasimomenta the bracket's momentum- and period-
     derivatives are driven to a simultaneous zero (2d Newton from sign-change
-    cells of a coarse grid); a candidate is kept when the bracket itself
-    vanishes there and the scanned local gap is below 1e-6 in momentum.
+    cells of a grid_n x grid_n grid); a candidate (k, d) is kept when the
+    bracket itself vanishes there and ``in_band`` puts both k - h and k + h,
+    h = 1e-6 max(1, k), inside the spectrum at period d.
     Returns (k, d, (theta1, theta2)) tuples.
     """
     if not spec.is_kagome:
@@ -713,17 +697,21 @@ def detect_gap_closings(spec: LatticeSpec, k_window: tuple, d_window: tuple,
     d_lo, d_hi = d_window
     if not (0.0 < k_lo < k_hi and spec.c < d_lo < d_hi):
         raise ValueError("windows must be nonempty and compatible with the geometry")
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
 
     found = []
     for theta in EXTREMAL_THETAS:
         f, g = _fg_arrays(np.array(theta[0]), np.array(theta[1]))
         f, g = float(f), float(g)
 
+        def bracket(x, d):
+            l1, l2, l3 = _lambdas(x, side, spec.c, d, spec.ell)
+            return l1 - l2 * f - l3 * g
+
         def grad(v):
             x, d = v
-            dk = _delta_fixed_theta(x + 1j * _CSTEP, d, spec, side, f, g).imag / _CSTEP
-            dd = _delta_fixed_theta(x, d + 1j * _CSTEP, spec, side, f, g).imag / _CSTEP
-            return [dk, dd]
+            return [bracket(x + 1j * _CSTEP, d).imag / _CSTEP, bracket(x, d + 1j * _CSTEP).imag / _CSTEP]
 
         ks = np.linspace(k_lo, k_hi, grid_n)
         ds = np.linspace(d_lo, d_hi, grid_n)
@@ -741,17 +729,14 @@ def detect_gap_closings(spec: LatticeSpec, k_window: tuple, d_window: tuple,
             k_star, d_star = sol
             if not (k_lo - 1e-9 <= k_star <= k_hi + 1e-9 and d_lo - 1e-9 <= d_star <= d_hi + 1e-9):
                 continue
-            delta = _delta_fixed_theta(k_star, d_star, spec, side, f, g)
-            l1, l2, l3 = lambda_arrays(k_star, side, LatticeSpec.kagome(spec.c, d_star, spec.ell))
-            scale = abs(l1) + 3.0 * abs(l2) + 1.5 * SQRT3 * abs(l3) + 1.0
-            if abs(delta) > 1e-6 * scale:
-                continue
-            # local gap between the nearest bands on either side (0 if k_star is in a band)
             spec_star = LatticeSpec.kagome(spec.c, d_star, spec.ell)
-            w = 0.05 * (1.0 + k_star)
-            lower = _local_band(spec_star, side, max(k_star - w, X_FLOOR), k_star, 2001)
-            upper = _local_band(spec_star, side, k_star, k_star + w, 2001)
-            if lower is None or upper is None or upper.k_lo - lower.k_hi >= 1e-6:
+            l1, l2, l3 = lambda_arrays(k_star, side, spec_star)
+            scale = abs(l1) + 3.0 * abs(l2) + 1.5 * SQRT3 * abs(l3) + 1.0
+            if abs(l1 - l2 * f - l3 * g) > 1e-6 * scale:
+                continue
+            # a touching has band on both sides of k_star
+            h = 1e-6 * max(1.0, k_star)
+            if k_star <= h or not (in_band(k_star - h, side, spec_star) and in_band(k_star + h, side, spec_star)):
                 continue
             found.append((float(k_star), float(d_star), theta))
 

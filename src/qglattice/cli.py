@@ -164,6 +164,8 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.grid_n < 1:
+        raise ValueError(f"--grid-n must be at least 1, got {args.grid_n}")
     spec = _spec_from_args(args)
     z = complex(args.k) if args.side == "positive" else 1j * args.k
     matrix_fn = kagome_secular_matrix if spec.is_kagome else triangular_secular_matrix

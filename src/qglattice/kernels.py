@@ -125,9 +125,6 @@ class KernelTriple:
     l3: float
     side: str = "positive"
 
-    def as_array(self):
-        return np.array([self.l1, self.l2, self.l3])
-
 
 def f_theta(q: Quasimomentum):
     """Even quasimomentum weight, range [-3/2, 3]."""
@@ -209,23 +206,28 @@ def _lambda3_neg(kp, c, d, ell):
     )
 
 
+_KERNELS = {
+    "positive": (_lambda1_pos, _lambda2_pos, _lambda3_pos),
+    "negative": (_lambda1_neg, _lambda2_neg, _lambda3_neg),
+}
+
+
+def _require_side(side) -> None:
+    if side not in ("positive", "negative"):
+        raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
+
+
+def _lambdas(x, side, c, d, ell):
+    """Kernel values (l1, l2, l3) at momentum x and cell period d; x and d may be complex."""
+    _require_side(side)
+    return tuple(kernel(x, c, d, ell) for kernel in _KERNELS[side])
+
+
 def lambda_arrays(x, side, spec: LatticeSpec):
     """Kernel values (l1, l2, l3) for scalar or array momentum ``x``."""
     if not spec.is_kagome:
         raise GeometryError("kagome kernels are undefined for the triangular lattice")
-    if side == "positive":
-        return (
-            _lambda1_pos(x, spec.c, spec.d, spec.ell),
-            _lambda2_pos(x, spec.c, spec.d, spec.ell),
-            _lambda3_pos(x, spec.c, spec.d, spec.ell),
-        )
-    if side == "negative":
-        return (
-            _lambda1_neg(x, spec.c, spec.d, spec.ell),
-            _lambda2_neg(x, spec.c, spec.d, spec.ell),
-            _lambda3_neg(x, spec.c, spec.d, spec.ell),
-        )
-    raise ValueError(f"side must be 'positive' or 'negative', got {side!r}")
+    return _lambdas(x, side, spec.c, spec.d, spec.ell)
 
 
 def lambda_pos(k, spec: LatticeSpec) -> KernelTriple:

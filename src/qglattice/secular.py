@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import EXTREMAL_THETAS, SQRT3, GeometryError, LatticeSpec, Quasimomentum
+from .kernels import EXTREMAL_THETAS, SQRT3, GeometryError, LatticeSpec, Quasimomentum, _require_side
 
 # raw-to-conventional determinant rescale factors, calibrated once against
 # the closed-form bracket (see module docstring)
@@ -310,6 +310,7 @@ def oracle_in_spectrum(x, spec: LatticeSpec, theta_grid_n: int = 64, side: str =
     values also set the vanishing tolerance.  Evaluated in chunks so a sign
     change returns early.
     """
+    _require_side(side)
     if theta_grid_n < 8:
         raise ValueError("theta_grid_n must be at least 8")
     if not 0.0 < x < math.inf:

@@ -388,6 +388,44 @@ def test_gap_closings_match_hybr_reference(monkeypatch):
             assert abs(k - k_ref) <= 1e-12 and abs(d - d_ref) <= 1e-12
 
 
+#: Closings of GAP_WINDOWS on kagome(1, 3) at grid_n = 32, as (k, d, theta).
+GAP_CLOSINGS = [
+    [(2.0086337363392035, 2.3389140212990043, (2 * math.pi / 3, -2 * math.pi / 3)),
+     (2.0943951023931957, 3.0, (0.0, 0.0)),
+     (2.3539174083052297, 2.6692462891904714, (-2 * math.pi / 3, 2 * math.pi / 3)),
+     (2.438906714270409, 3.406664089162745, (2 * math.pi / 3, -2 * math.pi / 3))],
+    [(0.9025396018763421, 2.593399008966819, (2 * math.pi / 3, -2 * math.pi / 3)),
+     (1.0997966286389786, 2.5223509232953956, (-2 * math.pi / 3, 2 * math.pi / 3))],
+]
+
+
+def test_gap_closings_pinned_with_band_on_both_sides():
+    spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
+    for (kw, dw, side), expected in zip(GAP_WINDOWS, GAP_CLOSINGS):
+        found = detect_gap_closings(spec, kw, dw, side=side, grid_n=32)
+        assert len(found) == len(expected)
+        for (k, d, theta), (k_ref, d_ref, theta_ref) in zip(found, expected):
+            assert theta == theta_ref
+            assert abs(k - k_ref) <= 1e-12 and abs(d - d_ref) <= 1e-12
+            # a touching: both the closed form and the oracle see band just below and just above k
+            spec_star = LatticeSpec.kagome(1.0, d, 1.0)
+            h = 1e-6 * max(1.0, k)
+            for x in (k - h, k + h):
+                assert in_band(x, side, spec_star)
+                assert oracle_in_spectrum(x, spec_star, side=side)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: in_band(1.2, "Positive", LatticeSpec.triangular(2.0)), "side must be"),
+    (lambda: oracle_in_spectrum(1.2, LatticeSpec.kagome(1.0, 3.0), side="Positive"), "side must be"),
+    (lambda: detect_gap_closings(LatticeSpec.kagome(1.0, 3.0), *GAP_WINDOWS[0][:2], side="Positive"), "side must be"),
+    (lambda: detect_gap_closings(LatticeSpec.kagome(1.0, 3.0), *GAP_WINDOWS[0][:2], grid_n=1), "grid_n"),
+], ids=["in_band-side", "oracle-side", "gap-closings-side", "gap-closings-grid-n-1"])
+def test_invalid_argument_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # --------------------------------------------------------------------------
 # root solvers
 

@@ -177,8 +177,11 @@ def test_missing_geometry_exit_code(tmp_path, capsys):
     ["scattering", "--n", "3", "--k", "inf"],
     ["scattering", "--n", "3", "--k", "1", "--ell", "inf"],
     ["oracle-check", "--kind", "kagome", "--c", "1", "--d", "3", "--k", "nan", "--grid-n", "2"],
+    ["oracle-check", "--kind", "kagome", "--c", "1", "--d", "3", "--k", "2", "--grid-n", "0"],
+    ["bands", "--kind", "kagome", "--c", "1", "--d", "3", "--k-max", "1e12"],
 ], ids=["resolution-zero", "resolution-negative", "d-inf", "K-inf", "d-nan", "ell-nan", "flat-k-max-inf",
-        "scattering-k-nan", "scattering-k-inf", "scattering-ell-inf", "oracle-k-nan"])
+        "scattering-k-nan", "scattering-k-inf", "scattering-ell-inf", "oracle-k-nan", "oracle-grid-n-zero",
+        "bands-k-max-1e12"])
 def test_non_finite_or_non_positive_input_exit_code(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path / "x.out")])
     assert code == 2
