@@ -33,6 +33,7 @@ from .secular import (
     kagome_secular_matrix,
     normalized_bracket,
     oracle_in_spectrum,
+    oracle_in_spectrum_many,
     triangular_secular_det,
     triangular_secular_matrix,
 )

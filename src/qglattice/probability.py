@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandStructure, _require_positive, scan_bands
+from .bands import MAX_PROBES, BandStructure, _require_positive, scan_bands
 from .kernels import LatticeSpec
 
 
@@ -100,6 +100,8 @@ def torus_probability(spec: LatticeSpec, grid_n: int = 2000) -> ProbabilityEstim
     """
     if grid_n < 100:
         raise ValueError("grid_n must be at least 100")
+    if grid_n ** 2 > MAX_PROBES:
+        raise ValueError(f"grid_n ** 2 = {grid_n ** 2:.3g} grid points, the limit is {MAX_PROBES:.0e}")
     u = (np.arange(grid_n) + 0.5) * (2.0 * np.pi / grid_n)
     x, y = np.meshgrid(u, u, indexing="ij")
     count = int(np.count_nonzero(torus_indicator(x, y) >= 0.0))

@@ -33,6 +33,19 @@ The triangular raw determinant is -32 z ell e^(2 i theta2) sin^2(zd/2) * B(z)
 with B the raw triangular bracket; it is rescaled by -8 / ell^3, which
 reproduces the known closed value 1024 i e^(2 i theta2) ell^-3 sinh^2(d/2 ell) (...)
 at z = i / ell.
+
+Degree in the boundary phases
+-----------------------------
+The matrix depends on the quasimomentum only through the three boundary
+phase factors p1 = e^(i theta1), p2 = e^(i theta2), p3 = e^(i (theta2 - theta1)):
+M = M0 + sum_i p_i T_i, and each p_i enters at most two rows (kagome: p1
+rows 8 and 11, p2 rows 0 and 3, p3 rows 0 and 1; triangular: p1 rows 4
+and 5, p2 rows 0 and 5, p3 rows 0 and 1).  Expanding the determinant along
+its rows, it is a polynomial of degree at most 2 in each p_i, so its
+Fourier support lies in theta1-orders -2..2 and theta2-orders 0..4.  A
+5 x 5 discrete Fourier transform over theta = 2 pi m / 5 therefore recovers
+every coefficient exactly from 25 determinants.  The argument uses the
+matrix alone, not the kernel formulas.
 """
 
 from __future__ import annotations
@@ -42,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bands import InternalConsistencyError
 from .kernels import EXTREMAL_THETAS, SQRT3, GeometryError, LatticeSpec, Quasimomentum, _require_side
 
 # raw-to-conventional determinant rescale factors, calibrated once against
@@ -71,106 +85,89 @@ class SecularSystem:
         return raw * (-8.0 / self.spec.ell ** 3)
 
 
-def _kagome_rows(z, p1, p2, p3, c, d, ell):
-    """12 x 12 system rows for given phase factors p1 = e^{i t1}, p2 = e^{i t2}, p3 = e^{i(t2-t1)}.
+def _assemble(dim, funs, rows, z, phases, boundary, waves, ell):
+    """Vertex-condition rows val(f) - val(g) + i ell (sf f' + sg g'), broadcast
+    over arrays of z and of the phase factors; returns shape (..., dim, dim).
 
-    Linear in each phase factor, which batched evaluation exploits.
+    `funs` maps an edge function to its (plus column, minus column, boundary
+    phase index or None); a phased function carries the boundary shift
+    e^(-+ i z boundary).  Each row of `rows` is ((f, point, sf), (g, point, sg)),
+    and `waves[point]` holds the plane waves (e^(i z x), e^(-i z x)) there.
     """
-    b = d - c
-    ec_m = np.exp(-1j * z * c)
-    ec_p = np.exp(1j * z * c)
-    # function -> (plus column, minus column, plus scale, minus scale)
-    funs = {
-        "psi1": (4, 5, p2 * ec_m, p2 * ec_p),
-        "psi2": (10, 11, p3 * ec_m, p3 * ec_p),
-        "psi3": (0, 1, 1.0, 1.0),
-        "psi4": (2, 3, 1.0, 1.0),
-        "phi1": (4, 5, 1.0, 1.0),
-        "phi2": (8, 9, 1.0, 1.0),
-        "phi3": (0, 1, 1.0, 1.0),
-        "phi4": (6, 7, 1.0, 1.0),
-        "chi1": (6, 7, p1 * ec_m, p1 * ec_p),
-        "chi2": (2, 3, 1.0, 1.0),
-        "chi3": (8, 9, 1.0, 1.0),
-        "chi4": (10, 11, 1.0, 1.0),
-    }
-
-    def val(f, x):
-        p, m, sp, sm = funs[f]
-        v = np.zeros(12, complex)
-        v[p] += sp * np.exp(1j * z * x)
-        v[m] += sm * np.exp(-1j * z * x)
-        return v
-
-    def der(f, x):
-        p, m, sp, sm = funs[f]
-        v = np.zeros(12, complex)
-        v[p] += 1j * z * sp * np.exp(1j * z * x)
-        v[m] -= 1j * z * sm * np.exp(-1j * z * x)
-        return v
-
+    iz = 1j * z
     il = 1j * ell
-    h = b / 2.0
-    return np.array([
-        val("psi2", 0) - val("psi1", 0) + il * (der("psi2", 0) + der("psi1", 0)),
-        val("psi3", h) - val("psi2", 0) + il * (-der("psi3", h) + der("psi2", 0)),
-        val("psi4", h) - val("psi3", h) - il * (der("psi4", h) + der("psi3", h)),
-        val("psi1", 0) - val("psi4", h) + il * (der("psi1", 0) - der("psi4", h)),
-        val("phi2", -h) - val("phi1", 0) + il * (der("phi2", -h) - der("phi1", 0)),
-        val("phi3", -h) - val("phi2", -h) + il * (der("phi3", -h) + der("phi2", -h)),
-        val("phi4", 0) - val("phi3", -h) + il * (-der("phi4", 0) + der("phi3", -h)),
-        val("phi1", 0) - val("phi4", 0) - il * (der("phi1", 0) + der("phi4", 0)),
-        val("chi2", -h) - val("chi1", 0) + il * (der("chi2", -h) + der("chi1", 0)),
-        val("chi3", h) - val("chi2", -h) + il * (-der("chi3", h) + der("chi2", -h)),
-        val("chi4", 0) - val("chi3", h) - il * (der("chi4", 0) + der("chi3", h)),
-        val("chi1", 0) - val("chi4", 0) + il * (der("chi1", 0) - der("chi4", 0)),
-    ])
+    shifts = (np.exp(-1j * z * boundary), np.exp(1j * z * boundary))
+    out = np.zeros(np.broadcast_shapes(np.shape(z), *map(np.shape, phases)) + (dim, dim), complex)
+    parts = {}  # (f, point) -> values and i ell derivatives at its plus and minus columns
+    for r, terms in enumerate(rows):
+        for first, (name, point, sder) in zip((True, False), terms):
+            plus, minus, phase = funs[name]
+            if (name, point) not in parts:
+                sp, sm = (1.0, 1.0) if phase is None else (phases[phase] * shifts[0], phases[phase] * shifts[1])
+                ep, em = waves[point]
+                parts[name, point] = (sp * ep, il * (iz * sp * ep), sm * em, -(il * (iz * sm * em)))
+            val_p, der_p, val_m, der_m = parts[name, point]
+            for col, val, der in ((plus, val_p, der_p), (minus, val_m, der_m)):
+                # +-val +- der, with the signs outside the rounded sums
+                entry = val + der if (sder > 0) == first else val - der
+                out[..., r, col] = entry if first else -entry
+    return out
 
+
+# kagome edge function -> (plus column, minus column, boundary phase index)
+_KAGOME_FUNS = {
+    "psi1": (4, 5, 1), "psi2": (10, 11, 2), "psi3": (0, 1, None), "psi4": (2, 3, None),
+    "phi1": (4, 5, None), "phi2": (8, 9, None), "phi3": (0, 1, None), "phi4": (6, 7, None),
+    "chi1": (6, 7, 0), "chi2": (2, 3, None), "chi3": (8, 9, None), "chi4": (10, 11, None),
+}
+
+# the twelve kagome vertex conditions; points are in units of h = (d - c) / 2
+_KAGOME_ROWS = (
+    (("psi2", 0, 1.0), ("psi1", 0, 1.0)),
+    (("psi3", 1, -1.0), ("psi2", 0, 1.0)),
+    (("psi4", 1, -1.0), ("psi3", 1, -1.0)),
+    (("psi1", 0, 1.0), ("psi4", 1, -1.0)),
+    (("phi2", -1, 1.0), ("phi1", 0, -1.0)),
+    (("phi3", -1, 1.0), ("phi2", -1, 1.0)),
+    (("phi4", 0, -1.0), ("phi3", -1, 1.0)),
+    (("phi1", 0, -1.0), ("phi4", 0, -1.0)),
+    (("chi2", -1, 1.0), ("chi1", 0, 1.0)),
+    (("chi3", 1, -1.0), ("chi2", -1, 1.0)),
+    (("chi4", 0, -1.0), ("chi3", 1, -1.0)),
+    (("chi1", 0, 1.0), ("chi4", 0, -1.0)),
+)
+
+
+def _kagome_rows(z, p1, p2, p3, c, d, ell):
+    """12 x 12 system for phase factors p1 = e^{i t1}, p2 = e^{i t2}, p3 = e^{i(t2-t1)},
+    broadcast over arrays of z and of the phase factors."""
+    h = (d - c) / 2.0
+    waves = {m: (np.exp(1j * z * (m * h)), np.exp(-1j * z * (m * h))) for m in (0, 1, -1)}
+    return _assemble(12, _KAGOME_FUNS, _KAGOME_ROWS, z, (p1, p2, p3), c, waves, ell)
+
+
+# triangular edge end -> (plus column, minus column, boundary phase index);
+# columns C1+, C1-, C4+, C4-, D4+, D4-
+_TRI_FUNS = {
+    "psi1": (0, 1, 1), "psi2": (4, 5, 2), "chi1": (2, 3, 0),
+    "phi1": (0, 1, None), "phi4": (2, 3, None), "chi4": (4, 5, None),
+}
 
 # Cyclic order of the six edge ends around the degree-6 vertex obtained by
-# contracting the three short kagome edges; verified against the closed-form
-# triangular bracket.
-_TRI_ORDER = ("psi1", "psi2", "phi4", "phi1", "chi4", "chi1")
+# contracting the three short kagome edges, each with its outward sign;
+# verified against the closed-form triangular bracket.
+_TRI_ORDER = (("psi1", 1.0), ("psi2", 1.0), ("phi4", -1.0), ("phi1", -1.0), ("chi4", -1.0), ("chi1", 1.0))
+_TRI_ROWS = tuple(((nxt, 0, snxt), (a, 0, sa))
+                  for (a, sa), (nxt, snxt) in zip(_TRI_ORDER, _TRI_ORDER[1:] + _TRI_ORDER[:1]))
 
 
 def _triangular_rows(z, p1, p2, p3, d, ell):
-    """6 x 6 system rows; columns C1+, C1-, C4+, C4-, D4+, D4-."""
-    ed_m = np.exp(-1j * z * d)
-    ed_p = np.exp(1j * z * d)
-    # (plus column, minus column, plus scale, minus scale, outward sign)
-    funs = {
-        "psi1": (0, 1, p2 * ed_m, p2 * ed_p, 1.0),
-        "psi2": (4, 5, p3 * ed_m, p3 * ed_p, 1.0),
-        "chi1": (2, 3, p1 * ed_m, p1 * ed_p, 1.0),
-        "phi1": (0, 1, 1.0, 1.0, -1.0),
-        "phi4": (2, 3, 1.0, 1.0, -1.0),
-        "chi4": (4, 5, 1.0, 1.0, -1.0),
-    }
-
-    def val(f):
-        p, m, sp, sm, _ = funs[f]
-        v = np.zeros(6, complex)
-        v[p] += sp
-        v[m] += sm
-        return v
-
-    def dout(f):
-        p, m, sp, sm, sgn = funs[f]
-        v = np.zeros(6, complex)
-        v[p] += sgn * 1j * z * sp
-        v[m] -= sgn * 1j * z * sm
-        return v
-
-    il = 1j * ell
-    rows = []
-    for j in range(6):
-        a, nxt = _TRI_ORDER[j], _TRI_ORDER[(j + 1) % 6]
-        rows.append(val(nxt) - val(a) + il * (dout(nxt) + dout(a)))
-    return np.array(rows)
+    """6 x 6 system, broadcast like `_kagome_rows`; every end sits at the vertex."""
+    return _assemble(6, _TRI_FUNS, _TRI_ROWS, z, (p1, p2, p3), d, {0: (1.0, 1.0)}, ell)
 
 
-def _phases(theta: Quasimomentum):
-    t1, t2 = theta.theta1, theta.theta2
+def _phases(t1, t2):
+    """Boundary phase factors p1, p2, p3 at quasimomentum angles (or arrays of them)."""
     return np.exp(1j * t1), np.exp(1j * t2), np.exp(1j * (t2 - t1))
 
 
@@ -180,7 +177,7 @@ def kagome_secular_matrix(z, theta: Quasimomentum, spec: LatticeSpec) -> Secular
         raise GeometryError("degenerate geometry: use the triangular secular system")
     if z == 0 or not np.isfinite(z):
         raise ValueError(f"secular system requires a finite z != 0, got {z}")
-    p1, p2, p3 = _phases(theta)
+    p1, p2, p3 = _phases(theta.theta1, theta.theta2)
     rows = _kagome_rows(complex(z), p1, p2, p3, spec.c, spec.d, spec.ell)
     return SecularSystem(12, rows, complex(z), theta, spec)
 
@@ -196,7 +193,7 @@ def triangular_secular_matrix(z, theta: Quasimomentum, spec: LatticeSpec) -> Sec
         raise GeometryError("triangular secular system requires a triangular spec")
     if z == 0 or not np.isfinite(z):
         raise ValueError(f"secular system requires a finite z != 0, got {z}")
-    p1, p2, p3 = _phases(theta)
+    p1, p2, p3 = _phases(theta.theta1, theta.theta2)
     rows = _triangular_rows(complex(z), p1, p2, p3, spec.d, spec.ell)
     return SecularSystem(6, rows, complex(z), theta, spec)
 
@@ -208,7 +205,7 @@ def triangular_secular_det(z, theta: Quasimomentum, spec: LatticeSpec) -> comple
 
 def _bracket_prefactor(z, theta2, spec: LatticeSpec):
     """Every known nonvanishing factor of the raw determinant besides the bracket,
-    including the sine factors (see module docstring); theta2 may be an array."""
+    including the sine factors (see module docstring); z and theta2 may be arrays."""
     if spec.is_kagome:
         c, d, ell = spec.c, spec.d, spec.ell
         sines = np.sin(z * c / 2.0) * np.sin(z * d / 2.0) * np.sin(z * (d - c) / 2.0)
@@ -226,67 +223,61 @@ def normalized_bracket(z, theta: Quasimomentum, spec: LatticeSpec) -> complex:
     return np.linalg.det(matrix(z, theta, spec).matrix) / _bracket_prefactor(z, theta.theta2, spec)
 
 
-def _phase_decomposition(z, spec: LatticeSpec):
-    """Theta-independent matrix and sparse phase terms of the secular system.
-
-    The matrix depends on theta only through the three boundary phase
-    factors, each entering linearly in a handful of entries:
-    M(theta) = M0 + sum_i p_i(theta) * (sparse term i).
-    """
-    z = complex(z)
+def _det_grid(z, theta1, theta2, spec: LatticeSpec) -> np.ndarray:
+    """Raw determinants, broadcast over arrays of z and of the quasimomentum angles."""
+    phases = _phases(theta1, theta2)
     if spec.is_kagome:
-        args = (spec.c, spec.d, spec.ell)
-        rows = _kagome_rows
+        mats = _kagome_rows(z, *phases, spec.c, spec.d, spec.ell)
     else:
-        args = (spec.d, spec.ell)
-        rows = _triangular_rows
-    m0 = rows(z, 0.0, 0.0, 0.0, *args)
-    terms = []
-    for idx, phases in enumerate(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))):
-        diff = rows(z, *phases, *args) - m0
-        for r, c in np.argwhere(diff != 0.0):
-            terms.append((idx, int(r), int(c), diff[r, c]))
-    return m0, terms
-
-
-def _assembled_dets(decomposition, theta1_flat, theta2_flat) -> np.ndarray:
-    """Raw determinants of a phase decomposition over flattened quasimomenta."""
-    m0, terms = decomposition
-    phases = (
-        np.exp(1j * theta1_flat),
-        np.exp(1j * theta2_flat),
-        np.exp(1j * (theta2_flat - theta1_flat)),
-    )
-    mats = np.empty((theta1_flat.size,) + m0.shape, complex)
-    mats[:] = m0
-    for idx, r, c, val in terms:
-        mats[:, r, c] += phases[idx] * val
+        mats = _triangular_rows(z, *phases, spec.d, spec.ell)
     return np.linalg.det(mats)
 
 
-def _det_grid(z, theta1_flat, theta2_flat, spec: LatticeSpec) -> np.ndarray:
-    """Raw determinants over a flattened quasimomentum grid, batched."""
-    return _assembled_dets(_phase_decomposition(z, spec), theta1_flat, theta2_flat)
+#: Fourier orders of the bracket series and the five sample angles 2 pi m / 5.
+_ORDERS = np.arange(-2, 3)
+_NODES = 2.0 * np.pi * np.arange(5) / 5.0
 
 
-def _bracket_scale(x, extremal, spec: LatticeSpec) -> float:
+def _bracket_coefficients(z, spec: LatticeSpec) -> np.ndarray:
+    """Fourier coefficients of the bracket at each momentum of the 1-d array z.
+
+    Entry [n, j + 2, k + 2] multiplies e^(i (j theta1 + k theta2)).  They come
+    from a 5 x 5 DFT of 25 raw determinants (exact, see module docstring),
+    divided by the theta-independent prefactor and shifted by -2 in theta2
+    to cancel its e^(2 i theta2).  A non-finite determinant or coefficient
+    (hyperbolic overflow on the negative side) raises InternalConsistencyError.
+    """
+    with np.errstate(all="ignore"):
+        dets = _det_grid(z[:, None, None], _NODES[:, None], _NODES[None, :], spec)
+        dft = np.exp(-1j * np.outer(_ORDERS, _NODES)) / 5.0
+        prefactor = _bracket_prefactor(z, 0.0, spec)
+        coeffs = dft @ dets @ (dft * np.exp(-2j * _NODES)).T / prefactor[:, None, None]
+    finite = np.isfinite(dets).all(axis=(1, 2)) & np.isfinite(coeffs).all(axis=(1, 2)) & np.isfinite(prefactor)
+    if not finite.all():
+        bad = z[np.flatnonzero(~finite)[0]]
+        raise InternalConsistencyError(f"{spec.kind}: non-finite secular determinant at z = {bad:.9g}")
+    return coeffs
+
+
+def _bracket_scale(x, extremal, spec: LatticeSpec):
     """Magnitude scale of the bracket used for the vanishing tolerance.
 
-    Taken from the bracket values at the three EXTREMAL_THETAS: the bracket
-    is l1 - l2 f - l3 g for kagome and A - C f for triangular, and f, g
-    there are (3, 0) and (-3/2, +-3 sqrt(3)/2).
+    Taken from the bracket values at the three EXTREMAL_THETAS (the last
+    axis of `extremal`; x may be an array): the bracket is l1 - l2 f - l3 g
+    for kagome and A - C f for triangular, and f, g there are (3, 0) and
+    (-3/2, +-3 sqrt(3)/2).
     """
-    b0, bp, bm = extremal
-    zmod = abs(x)
+    b0, bp, bm = np.moveaxis(np.asarray(extremal), -1, 0)
+    zmod = np.abs(x)
     if spec.is_kagome:
         l1 = (b0 + bp + bm) / 3.0
         l2 = (l1 - b0) / 3.0
         l3 = (bp - bm) / (3.0 * SQRT3)
         floor = ((zmod * spec.ell) ** 2 + 1.0) ** 3
-        return float(max(abs(l1), 3.0 * abs(l2), 1.5 * (abs(l2) + SQRT3 * abs(l3)), floor))
+        return np.maximum.reduce([abs(l1), 3.0 * abs(l2), 1.5 * (abs(l2) + SQRT3 * abs(l3)), floor])
     c = (bp - b0) / 4.5
     floor = ((zmod * spec.ell) ** 2 + 1.0) ** 2
-    return float(max(abs(b0 + 3.0 * c), 3.0 * abs(c), floor))
+    return np.maximum.reduce([abs(b0 + 3.0 * c), 3.0 * abs(c), floor])
 
 
 #: Relative tolerance declaring the reduced determinant to vanish.
@@ -296,55 +287,63 @@ VANISH_RTOL = 1.0e-9
 #: never exactly representable, so exact zeros cannot be required.
 SINE_ZERO_TOL = 1.0e-12
 
+#: Grid values plus matrix entries held per chunk of momenta (bounds memory).
+_CHUNK_VALUES = 1 << 19
 
-def oracle_in_spectrum(x, spec: LatticeSpec, theta_grid_n: int = 64, side: str = "positive") -> bool:
-    """Brute-force spectral membership from the secular determinant.
 
-    True iff one of the sine prefactors vanishes (flat band or degenerate
-    point), or over the quasimomentum grid the bracket (the determinant
-    divided by its prefactor) changes sign (a continuous-band point) or
-    nearly vanishes at some grid point (band edge).  The n x n grid is
-    augmented with the three EXTREMAL_THETAS, where the bracket attains its
-    range boundary; without the corners a grid of any practical size misses
-    the narrow sign-change region of momenta close to a band edge.  Their
-    values also set the vanishing tolerance.  Evaluated in chunks so a sign
-    change returns early.
+def oracle_in_spectrum_many(xs, spec: LatticeSpec, theta_grid_n: int = 64, side: str = "positive") -> np.ndarray:
+    """Brute-force spectral membership from the secular determinant, per momentum.
+
+    A momentum is inside iff one of the sine prefactors vanishes (flat band
+    or degenerate point), or over the quasimomentum grid the bracket (the
+    determinant divided by its prefactor) changes sign (a continuous-band
+    point) or nearly vanishes at some grid point (band edge).  The n x n
+    grid is augmented with the three EXTREMAL_THETAS, where the bracket
+    attains its range boundary; without the corners a grid of any practical
+    size misses the narrow sign-change region of momenta close to a band
+    edge.  Their values also set the vanishing tolerance.  The bracket is
+    evaluated from its exact Fourier series (25 determinants per momentum);
+    momenta are processed in chunks so memory stays bounded.  Returns a
+    boolean array shaped like `xs`.
     """
     _require_side(side)
     if theta_grid_n < 8:
         raise ValueError("theta_grid_n must be at least 8")
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"momentum argument must be finite and positive, got {x}")
+    xs = np.asarray(xs, dtype=float)
+    flat = xs.ravel()
+    bad = ~((flat > 0.0) & (flat < math.inf))
+    if bad.any():
+        raise ValueError(f"momentum argument must be finite and positive, got {flat[bad][0]}")
+    member = np.zeros(flat.shape, bool)
     if side == "positive":
         lengths = (spec.c, spec.d, spec.d - spec.c) if spec.is_kagome else (spec.d,)
         # a vanishing sine factor is an infinitely degenerate eigenvalue;
         # testing per factor keeps the detection zone tight even where
         # several families coincide
-        if any(abs(np.sin(x * L / 2.0)) <= SINE_ZERO_TOL * max(1.0, x * L / 2.0) for L in lengths):
-            return True
+        for L in lengths:
+            member |= np.abs(np.sin(flat * L / 2.0)) <= SINE_ZERO_TOL * np.maximum(1.0, flat * L / 2.0)
     t = np.linspace(-np.pi, np.pi, theta_grid_n, endpoint=False)
-    t1, t2 = np.meshgrid(t, t, indexing="ij")
-    extremal = np.array(EXTREMAL_THETAS)
-    t1f = np.concatenate([extremal[:, 0], t1.ravel()])
-    t2f = np.concatenate([extremal[:, 1], t2.ravel()])
+    grid = np.exp(1j * np.outer(t, _ORDERS))
+    extremal = np.exp(1j * np.multiply.outer(np.array(EXTREMAL_THETAS), _ORDERS))
+    todo = np.flatnonzero(~member)
+    chunk = max(1, _CHUNK_VALUES // (theta_grid_n ** 2 + 25 * 12 ** 2))
+    for start in range(0, todo.size, chunk):
+        idx = todo[start:start + chunk]
+        x = flat[idx]
+        coeffs = _bracket_coefficients(x + 0j if side == "positive" else 1j * x, spec)
+        partial = grid @ coeffs  # theta1-series summed on the grid rows
+        vals = partial.real @ grid.real.T - partial.imag @ grid.imag.T
+        corners = np.einsum("ej,njk,ek->ne", extremal[:, 0], coeffs, extremal[:, 1]).real
+        vmin = np.minimum(vals.min(axis=(1, 2)), corners.min(axis=1))
+        vmax = np.maximum(vals.max(axis=(1, 2)), corners.max(axis=1))
+        # without a sign change the smallest |value| is |vmin| or |vmax|; its
+        # vanishing is a band-edge graze or the theta-independent zero of a
+        # point-degenerate band
+        graze = np.minimum(np.abs(vmin), np.abs(vmax)) <= VANISH_RTOL * _bracket_scale(x, corners, spec)
+        member[idx] = ((vmin <= 0.0) & (vmax >= 0.0)) | graze
+    return member.reshape(xs.shape)
 
-    z = complex(x) if side == "positive" else 1j * x
-    decomposition = _phase_decomposition(z, spec)
-    vmin = math.inf
-    vmax = -math.inf
-    abs_min = math.inf
-    chunk = 512
-    for start in range(0, t1f.size, chunk):
-        s1 = t1f[start:start + chunk]
-        s2 = t2f[start:start + chunk]
-        vals = (_assembled_dets(decomposition, s1, s2) / _bracket_prefactor(z, s2, spec)).real
-        if start == 0:
-            scale = _bracket_scale(x, vals[:3], spec)
-        vmin = min(vmin, float(vals.min()))
-        vmax = max(vmax, float(vals.max()))
-        if vmin <= 0.0 <= vmax:
-            return True
-        abs_min = min(abs_min, float(np.abs(vals).min()))
-    # bracket vanishes at a grid point (band edge graze, or the
-    # theta-independent zero of a point-degenerate band)
-    return bool(abs_min <= VANISH_RTOL * scale)
+
+def oracle_in_spectrum(x, spec: LatticeSpec, theta_grid_n: int = 64, side: str = "positive") -> bool:
+    """`oracle_in_spectrum_many` at one momentum."""
+    return bool(oracle_in_spectrum_many([x], spec, theta_grid_n, side)[0])

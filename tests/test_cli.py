@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from qglattice import probability
 from qglattice.cli import main
 
 
@@ -95,6 +96,13 @@ def test_torus_prob_json_value(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert abs(doc["value"] - 0.639081) < 5e-4
+
+
+def test_torus_prob_grid_limit_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(probability, "np", None)  # refused before any array is made
+    code = main(["torus-prob", "--c", "1", "--d", "2.618", "--grid", "20000", "--out", str(tmp_path / "t.json")])
+    assert code == 2
+    assert "grid_n" in capsys.readouterr().err
 
 
 def test_sweep_csv(tmp_path):
@@ -216,6 +224,10 @@ FIXTURE_ARGS = {
     for cmd, extra in (("bands", ["--k-max", "10"]), ("negative", []), ("flatbands", ["--k-max", "20"]))
 }
 FIXTURE_ARGS["asymptotics_triangular.csv"] = ["asymptotics", "--kind", "triangular", "--d", "1"]
+FIXTURE_ARGS["oracle-check_kagome.csv"] = ["oracle-check", "--kind", "kagome", "--c", "1", "--d", "3",
+                                           "--k", "1.3", "--grid-n", "8"]
+FIXTURE_ARGS["oracle-check_triangular.csv"] = ["oracle-check", "--kind", "triangular", "--d", "2",
+                                               "--k", "1.2", "--side", "negative", "--grid-n", "8"]
 
 
 def test_fixture_artifacts_regenerate_byte_for_byte(tmp_path):

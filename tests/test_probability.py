@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from qglattice.bands import BandStructure, SpectralInterval, scan_bands
+from qglattice import probability
+from qglattice.bands import MAX_PROBES, BandStructure, SpectralInterval, scan_bands
 from qglattice.kernels import LatticeSpec
 from qglattice.probability import (
     InsufficientScanError,
@@ -65,6 +66,16 @@ def test_torus_estimate_value():
     est = torus_probability(LatticeSpec.kagome(1.0, GOLDEN, 1.0), grid_n=500)
     assert est.value == pytest.approx(0.639081, abs=1e-2)
     assert est.method == "torus_area"
+
+
+def test_torus_grid_limit_rejected_before_allocating(monkeypatch):
+    # grid_n ** 2 above MAX_PROBES is refused before any array is made
+    monkeypatch.setattr(probability, "np", None)
+    spec = LatticeSpec.kagome(1.0, GOLDEN, 1.0)
+    with pytest.raises(ValueError, match="grid_n"):
+        torus_probability(spec, grid_n=math.isqrt(MAX_PROBES) + 1)
+    with pytest.raises(ValueError, match="grid_n"):
+        torus_probability(spec, grid_n=20000)
 
 
 def test_torus_grid_refinement():

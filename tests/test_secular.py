@@ -8,15 +8,24 @@ import pytest
 
 from qglattice.kernels import LatticeSpec, Quasimomentum, bracket, f_theta
 from qglattice.secular import (
+    _bracket_coefficients,
+    _kagome_rows,
+    _triangular_rows,
     kagome_secular_det,
     kagome_secular_matrix,
     normalized_bracket,
     oracle_in_spectrum,
+    oracle_in_spectrum_many,
     triangular_secular_det,
     triangular_secular_matrix,
 )
-from qglattice.bands import scan_bands, scan_negative_bands
+from qglattice.bands import InternalConsistencyError, in_band, scan_bands, scan_negative_bands
 from qglattice.kernels import GeometryError
+
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+ORACLE_SPECS = [LatticeSpec.kagome(1.0, 3.0, 1.0), LatticeSpec.equilateral(1.0, 1.0), LatticeSpec.triangular(2.0, 1.0)]
+ORACLE_IDS = ["kagome", "equilateral", "triangular"]
 
 
 def _random_kagome(rng):
@@ -183,9 +192,7 @@ def test_oracle_rejects_gap_points():
     assert oracle_in_spectrum(0.5 * (cont[1].k_lo + cont[1].k_hi), spec)
 
 
-@pytest.mark.parametrize("spec", [
-    LatticeSpec.kagome(1.0, 3.0, 1.0), LatticeSpec.equilateral(1.0, 1.0), LatticeSpec.triangular(2.0, 1.0),
-], ids=["kagome", "equilateral", "triangular"])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
 @pytest.mark.parametrize("side", ["positive", "negative"])
 def test_oracle_needs_no_kernel(monkeypatch, spec, side):
     bs = scan_bands(spec, "positive", 12.0) if side == "positive" else scan_negative_bands(spec)
@@ -209,14 +216,12 @@ def test_oracle_needs_no_kernel(monkeypatch, spec, side):
         assert oracle_in_spectrum(k, spec, side=side), k
 
 
-@pytest.mark.slow
 def test_oracle_grid_refinement_stability():
     spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
     rng = np.random.default_rng(45)
     ks = rng.uniform(0.05, 20.0, 1000)
-    mismatch = sum(
-        oracle_in_spectrum(k, spec, theta_grid_n=8) != oracle_in_spectrum(k, spec, theta_grid_n=64)
-        for k in ks
+    mismatch = np.count_nonzero(
+        oracle_in_spectrum_many(ks, spec, theta_grid_n=8) != oracle_in_spectrum_many(ks, spec, theta_grid_n=64)
     )
     assert mismatch == 0
 
@@ -227,3 +232,63 @@ def test_oracle_requires_positive_argument_and_grid():
         oracle_in_spectrum(-1.0, spec)
     with pytest.raises(ValueError):
         oracle_in_spectrum(1.0, spec, theta_grid_n=4)
+
+
+def test_oracle_many_matches_single_calls():
+    # more momenta than one chunk, in a 2-d shape that the result keeps
+    spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
+    ks = np.random.default_rng(46).uniform(0.05, 12.0, (3, 50))
+    many = oracle_in_spectrum_many(ks, spec)
+    assert many.shape == ks.shape and many.dtype == bool
+    assert many.tolist() == [[oracle_in_spectrum(float(k), spec) for k in row] for row in ks]
+    assert oracle_in_spectrum_many([], spec).shape == (0,)
+    for bad in ([1.0, -1.0], [math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="finite and positive"):
+            oracle_in_spectrum_many(bad, spec)
+
+
+@pytest.mark.parametrize("d", [100.0, 200.0])
+@pytest.mark.parametrize("make", [LatticeSpec.triangular, lambda d: LatticeSpec.kagome(d / PHI, d)],
+                         ids=["triangular", "kagome"])
+def test_oracle_raises_on_overflowing_determinants(make, d):
+    # cosh(2 kappa d) overflows: both routes refuse instead of answering
+    spec = make(d)
+    with pytest.raises(InternalConsistencyError):
+        in_band(5.0, "negative", spec)
+    with pytest.raises(InternalConsistencyError, match="non-finite"):
+        oracle_in_spectrum(5.0, spec, side="negative")
+
+
+#: Orders (j, k) of e^(i (j theta1 + k theta2)) in the bracket l1 - l2 f - l3 g
+#: (A - C f for triangular); the other 18 of the 25 computed orders vanish.
+BRACKET_SUPPORT = {(0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (-1, 0), (-1, 1)}
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
+@pytest.mark.parametrize("side, top", [("positive", 40.0), ("negative", 4.0)], ids=["positive", "negative"])
+def test_determinant_degree_structure(spec, side, top):
+    # the 25-determinant series is exact because each boundary phase enters
+    # at most two rows, linearly; an edit to the rows that breaks this
+    # fails here
+    rng = np.random.default_rng(47)
+    xs = rng.uniform(0.05, top, 20)
+    zs = xs + 0j if side == "positive" else 1j * xs
+    coeffs = _bracket_coefficients(zs, spec)
+    off = np.ones((5, 5), bool)
+    for j, k in BRACKET_SUPPORT:
+        off[j + 2, k + 2] = False
+    largest = np.abs(coeffs).max(axis=(1, 2))
+    assert np.all(np.abs(coeffs[:, off]).max(axis=1) <= 1e-12 * largest)
+
+    def rows(z, phases):
+        if spec.is_kagome:
+            return _kagome_rows(z, *phases, spec.c, spec.d, spec.ell)
+        return _triangular_rows(z, *phases, spec.d, spec.ell)
+
+    for z in zs:
+        base = np.exp(1j * rng.uniform(-math.pi, math.pi, 3))
+        for i in range(3):
+            at = [rows(z, np.where(np.arange(3) == i, p, base)) for p in (0.0, 1.0, 2.0)]
+            step = at[1] - at[0]
+            assert np.count_nonzero(np.abs(step).max(axis=1)) <= 2
+            assert np.allclose(at[2] - at[1], step, rtol=0.0, atol=1e-12 * np.abs(at[1]).max())
