@@ -22,13 +22,12 @@ sign and all share a sign in between.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import map_blocks
 from .kernels import (
     EXTREMAL_THETAS,
     GeometryError,
@@ -163,13 +162,6 @@ class SpectralThresholds:
 # --------------------------------------------------------------------------
 # membership
 
-def _thread_count() -> int:
-    env = os.environ.get("QG_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _extremal_brackets(x, side, spec: LatticeSpec):
     """Bracket l1 - l2 f - l3 g at the three EXTREMAL_THETAS, in that order.
 
@@ -213,17 +205,6 @@ def _strip_step(xs, side, spec: LatticeSpec):
             )
         bits |= (b > 0.0).view(np.uint8) << j
     return _margin_of(brackets) <= 0.0, bits
-
-
-def _strip_step_chunked(xs, side, spec: LatticeSpec):
-    """_strip_step, split over the thread pool for long probe arrays."""
-    n = _thread_count()
-    if n <= 1 or xs.size < 200_000:
-        return _strip_step(xs, side, spec)
-    chunks = np.array_split(xs, n)
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        parts = list(pool.map(lambda ch: _strip_step(ch, side, spec), chunks))
-    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _require_positive(name, value) -> None:
@@ -408,7 +389,8 @@ def _bisect_vec(fn, lo, hi, rtol=EDGE_RTOL, max_iter=90):
 
     Signs at lo and hi must differ elementwise.  Returns the point on the
     hi-sign side of the crossing (both converge to the same root within
-    rtol).
+    rtol).  Every element keeps halving until the slowest one has converged,
+    so the last bits of a zero depend on the batch it was bisected in.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -508,7 +490,8 @@ def kagome_collapse_roots(spec: LatticeSpec) -> tuple:
 def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: float):
     """Continuous bands as sorted (k_lo, k_hi, hi_trunc) tuples.
 
-    One bisection pass over every edge event and one walk in momentum order.
+    The probes are evaluated in blocks (blocks.map_blocks), then one
+    bisection pass over every edge event and one walk in momentum order.
     A pair of neighbouring probes with one in band and one out gives the
     margin's zero, bisected towards the in-band probe.  A pair on the same
     side gives the zero of each bracket that changes sign, bisected towards
@@ -520,7 +503,7 @@ def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: flo
     still in band at the last probe.
     """
     n = max(8, int(math.floor(x_max / resolution)))
-    probes = np.arange(1, n + 1) * (x_max / n)
+    step = x_max / n
     extra = [X_FLOOR]
     if side == "negative":
         seeds = _negative_seeds(spec, x_max)
@@ -532,15 +515,29 @@ def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: flo
         for s in seeds:
             ladder = np.concatenate([s * (1.0 - rel), s * (1.0 + rel)])
             extra.extend(ladder[(ladder > 0.0) & (ladder <= x_max)])
-    probes = np.unique(np.concatenate([probes, np.array(extra)]))
-    probes = probes[(probes > 0.0) & (probes <= x_max)]
-
+    extra = np.unique(extra)
     flat_point = 1.0 / spec.ell if spec.kind == "equilateral_kagome" and side == "negative" else None
-    if flat_point is not None:
-        # the isolated flat point is not part of any continuous band
-        probes = probes[np.abs(probes - flat_point) > 1e-9 * flat_point]
 
-    inb, bits = _strip_step_chunked(probes, side, spec)
+    def block(lo, hi):
+        # grid probes lo + 1 .. hi and the extra probes from grid probe lo + 1
+        # up to hi + 1 (and all those below the first or above the last)
+        e0 = 0 if lo == 0 else np.searchsorted(extra, (lo + 1) * step)
+        e1 = extra.size if hi == n else np.searchsorted(extra, (hi + 1) * step)
+        xs = np.unique(np.concatenate([np.arange(lo + 1, hi + 1) * step, extra[e0:e1]]))
+        xs = xs[(xs > 0.0) & (xs <= x_max)]
+        if flat_point is not None:
+            # the isolated flat point is not part of any continuous band
+            xs = xs[np.abs(xs - flat_point) > 1e-9 * flat_point]
+        inb, bits = _strip_step(xs, side, spec)
+        # keep the block's two ends and the probes on either side of a change
+        # of flag or sign bits: the probes dropped between two kept ones
+        # share their state, so the kept sequence has the same edge events
+        change = (inb[1:] != inb[:-1]) | (bits[1:] != bits[:-1])
+        keep = np.ones(xs.size, bool)
+        keep[1:-1] = change[:-1] | change[1:]
+        return xs[keep], inb[keep], bits[keep]
+
+    probes, inb, bits = (np.concatenate(a) for a in zip(*map_blocks(block, n)))
 
     # edge events (pair index, selector): selector j < 3 is bracket j, 3 the margin
     flips = bits[1:] ^ bits[:-1]
@@ -557,7 +554,8 @@ def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: flo
         return np.choose(which, (*brackets, _margin_of(brackets)))
 
     # _bisect_vec returns the hi side: the in-band probe's for a margin zero,
-    # the right-hand probe's for a bracket zero
+    # the right-hand probe's for a bracket zero.  All events go into this one
+    # call, not one per block: the last bits of each zero depend on the batch.
     zeros = _bisect_vec(event_fn, probes[pair + toward_left], probes[pair + ~toward_left])
 
     runs, start, last = [], 0.0 if inb[0] else None, -1

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import MAX_PROBES, BandStructure, _require_positive, scan_bands
+from .blocks import map_blocks
 from .kernels import LatticeSpec
 
 
@@ -103,8 +104,9 @@ def torus_probability(spec: LatticeSpec, grid_n: int = 2000) -> ProbabilityEstim
     if grid_n ** 2 > MAX_PROBES:
         raise ValueError(f"grid_n ** 2 = {grid_n ** 2:.3g} grid points, the limit is {MAX_PROBES:.0e}")
     u = (np.arange(grid_n) + 0.5) * (2.0 * np.pi / grid_n)
-    x, y = np.meshgrid(u, u, indexing="ij")
-    count = int(np.count_nonzero(torus_indicator(x, y) >= 0.0))
+    # rows lo .. hi - 1 of the grid at a time, about BLOCK_POINTS points each
+    rows = lambda lo, hi: int(np.count_nonzero(torus_indicator(u[lo:hi, None], u[None, :]) >= 0.0))
+    count = sum(map_blocks(rows, grid_n, grid_n))
     return ProbabilityEstimate(value=count / grid_n ** 2, method="torus_area",
                                spec=spec, grid_n=grid_n)
 

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from qglattice import bands
+from qglattice import bands, blocks
 from qglattice.bands import (
     InternalConsistencyError,
     _extremal_brackets,
     _margin,
     _negative_seeds,
-    _strip_step_chunked,
     bracket_theta_gradient,
     brentq,
     detect_gap_closings,
@@ -43,6 +42,7 @@ from qglattice.kernels import (
 from qglattice.secular import _bracket_scale, oracle_in_spectrum, oracle_in_spectrum_many
 
 SQRT3 = math.sqrt(3.0)
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def test_small_momenta_outside_bands_for_small_period():
@@ -534,14 +534,32 @@ def test_narrow_pair_edge_labels_match_asymptotics(spec, inner_at_center, n):
 # plumbing
 
 
-def test_chunked_margin_evaluation_matches_direct(monkeypatch):
-    spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
-    xs = np.linspace(0.01, 30.0, 250_000)
-    monkeypatch.setenv("QG_THREADS", "2")
-    inb, signs = _strip_step_chunked(xs, "positive", spec)
-    assert np.array_equal(inb, _margin(xs, "positive", spec) <= 0.0)
-    bits = sum((b > 0.0).astype(np.uint8) << j for j, b in enumerate(_extremal_brackets(xs, "positive", spec)))
-    assert np.array_equal(signs, bits)
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_scan_is_block_invariant(monkeypatch, threads):
+    # every scan here fits one default block; 997-probe blocks split the
+    # positive scans into up to 52 and the negative ones into 6, and
+    # 500-probe blocks put a seam among the ladder probes around the seed
+    # kappa = 2 of kagome(3, 7, 0.5), which decide its three bands, and on
+    # the equilateral flat point kappa = 1, which the scan removes
+    scans = [
+        (LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0), "positive", 200.0),
+        (LatticeSpec.equilateral(1.0, 1.0), "positive", 200.0),
+        (LatticeSpec.triangular(2.0, 1.0), "positive", 200.0),
+        (LatticeSpec.kagome(1.0, 3.0, 1.0), "negative", 10.0),
+        (LatticeSpec.kagome(3.0, 7.0, 0.5), "negative", 20.0),
+        (LatticeSpec.triangular(2.0, 1.0), "negative", 10.0),
+        (LatticeSpec.equilateral(1.0, 1.0), "negative", 10.0),
+    ]
+
+    def run():
+        return [[(iv.k_lo, iv.k_hi, iv.band_type, iv.edge_theta_lo, iv.edge_theta_hi)
+                 for iv in scan_bands(spec, side, k_max).intervals] for spec, side, k_max in scans]
+
+    expected = run()
+    monkeypatch.setenv("QG_THREADS", threads)
+    for size in (997, 500):
+        monkeypatch.setattr(blocks, "BLOCK_POINTS", size)
+        assert run() == expected
 
 
 def test_csv_rows_and_dict_shapes():

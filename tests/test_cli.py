@@ -105,6 +105,15 @@ def test_torus_prob_grid_limit_exit_code(tmp_path, capsys, monkeypatch):
     assert "grid_n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "1.5"])
+def test_bad_thread_count_exit_code(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("QG_THREADS", value)
+    code = main(["probability", "--kind", "equilateral", "--c", "1", "--ell", "1", "--K", "1e4",
+                 "--out", str(tmp_path / "p.json")])
+    assert code == 2
+    assert f"QG_THREADS must be a positive integer, got {value!r}" in capsys.readouterr().err
+
+
 def test_sweep_csv(tmp_path):
     code, out = _run(tmp_path, "s.csv", [
         "sweep", "--ratios", "0.4,0.5", "--d", "1", "--ell", "1", "--K", "1e4",
