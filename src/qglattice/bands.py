@@ -364,24 +364,51 @@ def brentq(f, a, b, xtol, rtol, max_iter=100):
 
 
 def root(fn, x0, tol=1e-13, max_iter=50):
-    """Zero of fn: R^2 -> R^2 by Newton's method from x0; the Jacobian is a central
-    difference with step 1e-7 max(1, |x|).  Stops once each step component is at most
-    tol max(1, |x|); None on a singular Jacobian, a non-finite step or no convergence.
+    """Zeros of fn: R^2 -> R^2 by Newton's method from x0, one start of shape (2,) or
+    a stack of n starts of shape (n, 2), all iterated together.
+
+    A start may carry parameters of its own as further components, shape (2 + p,)
+    or (n, 2 + p): Newton moves only the first two, and fn sees all 2 + p.  fn takes
+    the five stencil points of the m starts still iterating, components first, shape
+    (2 + p, 5, m), and returns the two values per point, shape (2, 5, m).  The
+    Jacobian is a central difference with step 1e-7 max(1, |x|).  A start stops once
+    each step component is at most tol max(1, |x|); its result is None on a singular
+    Jacobian, a non-finite step or no convergence.  Returns the zero (the first two
+    components) for one start and a list of them for a stack.
     """
-    x = np.array(x0, dtype=float)
+    single = np.ndim(x0) == 1
+    x = np.array(x0, dtype=float, ndmin=2)
+    result = [None] * len(x)
+    rows = np.arange(len(x))
     for _ in range(max_iter):
-        h = 1e-7 * np.maximum(1.0, np.abs(x))
-        jac = np.column_stack([np.subtract(fn(x + e), fn(x - e)) / (2.0 * hj) for hj, e in zip(h, np.diag(h))])
+        if not len(rows):
+            break
+        h = 1e-7 * np.maximum(1.0, np.abs(x[rows, :2]))
+        # the five stencil points x, x + h0, x - h0, x + h1, x - h1 of each start
+        pts = np.repeat(x[rows].T[:, None, :], 5, axis=1)
+        pts[0, 1] += h[:, 0]
+        pts[0, 2] -= h[:, 0]
+        pts[1, 3] += h[:, 1]
+        pts[1, 4] -= h[:, 1]
+        vals = np.asarray(fn(pts), dtype=float)
+        jac = ((vals[:, 1::2] - vals[:, 2::2]) / (2.0 * h.T)).transpose(2, 0, 1)
+        rhs = -vals[:, 0].T
         try:
-            step = np.linalg.solve(jac, -np.asarray(fn(x), dtype=float))
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(step).all():
-            return None
-        x = x + step
-        if (np.abs(step) <= tol * np.maximum(1.0, np.abs(x))).all():
-            return x
-    return None
+            step = np.linalg.solve(jac, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # some Jacobian is singular: solve start by start
+            step = np.full(rhs.shape, np.nan)
+            for r in range(len(rows)):
+                try:
+                    step[r] = np.linalg.solve(jac[r], rhs[r])
+                except np.linalg.LinAlgError:
+                    pass
+        failed = ~np.isfinite(step).all(axis=1)
+        x[rows[~failed], :2] += step[~failed]
+        done = ~failed & (np.abs(step) <= tol * np.maximum(1.0, np.abs(x[rows, :2]))).all(axis=1)
+        for r in rows[done]:
+            result[r] = x[r, :2].copy()
+        rows = rows[~(failed | done)]
+    return result[0] if single else result
 
 
 def _bisect_vec(fn, lo, hi, rtol=EDGE_RTOL, max_iter=90):
@@ -683,64 +710,70 @@ def detect_gap_closings(spec: LatticeSpec, k_window: tuple, d_window: tuple,
     """Parameter points where neighboring band edges touch.
 
     At the extremal quasimomenta the bracket's momentum- and period-
-    derivatives are driven to a simultaneous zero (2d Newton from sign-change
-    cells of a grid_n x grid_n grid); a candidate (k, d) is kept when the
-    bracket itself vanishes there and ``in_band`` puts both k - h and k + h,
-    h = 1e-6 max(1, k), inside the spectrum at period d.
-    Returns (k, d, (theta1, theta2)) tuples.
+    derivatives are driven to a simultaneous zero (2d Newton from the center
+    of each sign-change cell of a grid_n x grid_n grid, all starts solved in
+    one batch); a candidate (k, d) is kept when the bracket itself vanishes
+    there and ``in_band`` puts both k - h and k + h, h = 1e-6 max(1, k),
+    inside the spectrum at period d.
+    Returns (k, d, (theta1, theta2)) tuples, sorted by k, d and theta.
     """
     if not spec.is_kagome:
         raise GeometryError("gap-closing search is defined for kagome geometry")
     k_lo, k_hi = k_window
     d_lo, d_hi = d_window
+    if not np.isfinite([k_lo, k_hi, d_lo, d_hi]).all():
+        raise ValueError(f"window bounds must be finite, got {k_window} and {d_window}")
     if not (0.0 < k_lo < k_hi and spec.c < d_lo < d_hi):
         raise ValueError("windows must be nonempty and compatible with the geometry")
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
+    if grid_n ** 2 > MAX_PROBES:
+        raise ValueError(f"grid_n ** 2 = {grid_n ** 2:.3g} grid points, the limit is {MAX_PROBES:.0e}")
+
+    f, g = _fg_arrays(*np.array(EXTREMAL_THETAS).T)
+
+    def grad(v):
+        """Momentum and period derivatives of the bracket l1 - l2 f - l3 g at
+        v = (x, d, f, g), by complex steps in one kernel call."""
+        x, d, f, g = v
+        l1, l2, l3 = _lambdas(np.stack([x + 1j * _CSTEP, x]), side, spec.c, np.stack([d, d + 1j * _CSTEP]), spec.ell)
+        return (l1 - l2 * f - l3 * g).imag / _CSTEP
+
+    ks = np.linspace(k_lo, k_hi, grid_n)
+    ds = np.linspace(d_lo, d_hi, grid_n)
+    kk, dd_grid = np.meshgrid(ks, ds, indexing="ij")
+    sk, sd = np.sign(grad((kk[None], dd_grid[None], f[:, None, None], g[:, None, None])))
+    # (theta, i, j) of every sign-change cell, theta outermost
+    t, i, j = np.argwhere(
+        ((sk[:, :-1, :-1] != sk[:, 1:, :-1]) | (sk[:, :-1, :-1] != sk[:, :-1, 1:]))
+        & ((sd[:, :-1, :-1] != sd[:, 1:, :-1]) | (sd[:, :-1, :-1] != sd[:, :-1, 1:]))
+    ).T
+    # each start is its cell's center and carries its theta's (f, g)
+    starts = np.column_stack([0.5 * (ks[i] + ks[i + 1]), 0.5 * (ds[j] + ds[j + 1]), f[t], g[t]])
 
     found = []
-    for theta in EXTREMAL_THETAS:
-        f, g = _fg_arrays(np.array(theta[0]), np.array(theta[1]))
-        f, g = float(f), float(g)
+    for t_seed, sol in zip(t, root(grad, starts)):
+        if sol is None:
+            continue
+        k_star, d_star = sol
+        if not (k_lo - 1e-9 <= k_star <= k_hi + 1e-9 and d_lo - 1e-9 <= d_star <= d_hi + 1e-9):
+            continue
+        spec_star = LatticeSpec.kagome(spec.c, d_star, spec.ell)
+        l1, l2, l3 = lambda_arrays(k_star, side, spec_star)
+        scale = abs(l1) + 3.0 * abs(l2) + 1.5 * SQRT3 * abs(l3) + 1.0
+        if abs(l1 - l2 * f[t_seed] - l3 * g[t_seed]) > 1e-6 * scale:
+            continue
+        # a touching has band on both sides of k_star
+        h = 1e-6 * max(1.0, k_star)
+        if k_star <= h or not (in_band(k_star - h, side, spec_star) and in_band(k_star + h, side, spec_star)):
+            continue
+        found.append((float(k_star), float(d_star), EXTREMAL_THETAS[t_seed]))
 
-        def bracket(x, d):
-            l1, l2, l3 = _lambdas(x, side, spec.c, d, spec.ell)
-            return l1 - l2 * f - l3 * g
-
-        def grad(v):
-            x, d = v
-            return [bracket(x + 1j * _CSTEP, d).imag / _CSTEP, bracket(x, d + 1j * _CSTEP).imag / _CSTEP]
-
-        ks = np.linspace(k_lo, k_hi, grid_n)
-        ds = np.linspace(d_lo, d_hi, grid_n)
-        kk, dd_grid = np.meshgrid(ks, ds, indexing="ij")
-        sk, sd = np.sign(grad((kk, dd_grid)))
-        cells = np.argwhere(
-            ((sk[:-1, :-1] != sk[1:, :-1]) | (sk[:-1, :-1] != sk[:-1, 1:]))
-            & ((sd[:-1, :-1] != sd[1:, :-1]) | (sd[:-1, :-1] != sd[:-1, 1:]))
-        )
-        for i, j in cells:
-            x0 = (0.5 * (ks[i] + ks[i + 1]), 0.5 * (ds[j] + ds[j + 1]))
-            sol = root(grad, x0)
-            if sol is None:
-                continue
-            k_star, d_star = sol
-            if not (k_lo - 1e-9 <= k_star <= k_hi + 1e-9 and d_lo - 1e-9 <= d_star <= d_hi + 1e-9):
-                continue
-            spec_star = LatticeSpec.kagome(spec.c, d_star, spec.ell)
-            l1, l2, l3 = lambda_arrays(k_star, side, spec_star)
-            scale = abs(l1) + 3.0 * abs(l2) + 1.5 * SQRT3 * abs(l3) + 1.0
-            if abs(l1 - l2 * f - l3 * g) > 1e-6 * scale:
-                continue
-            # a touching has band on both sides of k_star
-            h = 1e-6 * max(1.0, k_star)
-            if k_star <= h or not (in_band(k_star - h, side, spec_star) and in_band(k_star + h, side, spec_star)):
-                continue
-            found.append((float(k_star), float(d_star), theta))
-
-    # dedupe: closings found from several theta points or cells coincide
+    # dedupe: closings found from several theta points or cells coincide.  The
+    # sort key is rounded far above roundoff, so that closings at equal k keep
+    # their order when k moves in its last bits.
     unique = []
-    for cand in sorted(found):
+    for cand in sorted(found, key=lambda c: (round(c[0], 9), round(c[1], 9), c[2])):
         if not any(abs(cand[0] - u[0]) < 1e-6 and abs(cand[1] - u[1]) < 1e-6 for u in unique):
             unique.append(cand)
     return unique

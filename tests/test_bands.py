@@ -372,14 +372,30 @@ GAP_WINDOWS = [((1.8, 2.6), (2.1, 3.6), "positive"), ((0.5, 2.2), (2.0, 4.5), "n
 
 def test_gap_closings_match_hybr_reference(monkeypatch):
     spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
+    batches = []
+
+    def newton(fn, x0, tol=1e-13):
+        batches.append(np.array(x0))
+        return root(fn, x0, tol)
+
+    monkeypatch.setattr(bands, "root", newton)
     found = [detect_gap_closings(spec, kw, dw, side=side, grid_n=32) for kw, dw, side in GAP_WINDOWS]
+    seen = []
 
     def hybr(fn, x0, tol=1e-13):
-        sol = scipy.optimize.root(fn, x0, method="hybr", tol=tol)
-        return sol.x if sol.success else None
+        # scipy's hybr from each start on its own; a start is (k, d) followed by its theta's (f, g)
+        sols = []
+        for start in x0:
+            seen.append(start)
+            sol = scipy.optimize.root(lambda v: fn(np.concatenate([v, start[2:]])), start[:2], method="hybr", tol=tol)
+            sols.append(sol.x if sol.success else None)
+        return sols
 
     monkeypatch.setattr(bands, "root", hybr)
     reference = [detect_gap_closings(spec, kw, dw, side=side, grid_n=32) for kw, dw, side in GAP_WINDOWS]
+    # hybr ran from every start that Newton ran from
+    assert len(seen) > 0
+    np.testing.assert_array_equal(np.array(seen), np.concatenate(batches))
     for ours, ref in zip(found, reference):
         assert len(ours) == len(ref) > 0
         for (k, d, theta), (k_ref, d_ref, theta_ref) in zip(ours, ref):
@@ -414,12 +430,43 @@ def test_gap_closings_pinned_with_band_on_both_sides():
                 assert oracle_in_spectrum(x, spec_star, side=side)
 
 
+#: The windows of GAP_WINDOWS and four wider ones, with their closing counts at grid_n = 32.
+WIDE_GAP_WINDOWS = [
+    (LatticeSpec.kagome(1.0, 3.0, 1.0), (1.8, 2.6), (2.1, 3.6), "positive", 4),
+    (LatticeSpec.kagome(1.0, 3.0, 1.0), (0.5, 2.2), (2.0, 4.5), "negative", 2),
+    (LatticeSpec.kagome(1.0, 3.0, 1.0), (0.5, 6.0), (1.5, 6.0), "positive", 40),
+    (LatticeSpec.kagome(0.7, 2.0, 1.0), (0.5, 6.0), (1.5, 6.0), "positive", 23),
+    (LatticeSpec.kagome(1.3, 3.0, 2.0), (0.5, 6.0), (1.5, 6.0), "positive", 31),
+    (LatticeSpec.kagome(1.0, 3.0, 1.0), (0.3, 3.0), (1.5, 6.0), "negative", 4),
+]
+
+
+def test_gap_closings_on_wide_windows():
+    for spec, (k_lo, k_hi), (d_lo, d_hi), side, count in WIDE_GAP_WINDOWS:
+        found = detect_gap_closings(spec, (k_lo, k_hi), (d_lo, d_hi), side=side, grid_n=32)
+        assert len(found) == count
+        for k, d, theta in found:
+            assert k_lo - 1e-9 <= k <= k_hi + 1e-9 and d_lo - 1e-9 <= d <= d_hi + 1e-9
+        # closings at equal k (such as k = 2 pi / 3 at d = 3 and d = 6) come in order of d
+        assert found == sorted(found, key=lambda c: (round(c[0], 9), round(c[1], 9), c[2]))
+
+
+@pytest.mark.xfail(strict=True, reason="one Newton start per sign-change cell misses this closing, which hybr finds")
+def test_gap_closings_find_the_closing_newton_misses():
+    found = detect_gap_closings(LatticeSpec.kagome(0.7, 2.0, 1.0), (0.5, 6.0), (1.5, 6.0), grid_n=32)
+    assert any(abs(k - 5.3642237) < 1e-6 and abs(d - 4.0700798) < 1e-6 for k, d, _ in found)
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda: in_band(1.2, "Positive", LatticeSpec.triangular(2.0)), "side must be"),
     (lambda: oracle_in_spectrum(1.2, LatticeSpec.kagome(1.0, 3.0), side="Positive"), "side must be"),
     (lambda: detect_gap_closings(LatticeSpec.kagome(1.0, 3.0), *GAP_WINDOWS[0][:2], side="Positive"), "side must be"),
     (lambda: detect_gap_closings(LatticeSpec.kagome(1.0, 3.0), *GAP_WINDOWS[0][:2], grid_n=1), "grid_n"),
-], ids=["in_band-side", "oracle-side", "gap-closings-side", "gap-closings-grid-n-1"])
+    (lambda: detect_gap_closings(LatticeSpec.kagome(1.0, 3.0), (1.0, math.inf), (2.0, 3.0)), "finite"),
+    # rejected before any grid is built
+    (lambda: detect_gap_closings(LatticeSpec.kagome(1.0, 3.0), *GAP_WINDOWS[0][:2], grid_n=10_001), "grid points"),
+], ids=["in_band-side", "oracle-side", "gap-closings-side", "gap-closings-grid-n-1", "gap-closings-infinite-window",
+        "gap-closings-grid-n-too-large"])
 def test_invalid_argument_raises(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -467,6 +514,42 @@ def test_newton_root_converges_or_returns_none():
     x = root(lambda v: [v[0] ** 2 - 2.0, v[0] * v[1] - 3.0], (1.0, 1.0))
     assert list(x) == pytest.approx([math.sqrt(2.0), 3.0 / math.sqrt(2.0)], rel=1e-15)
     assert root(lambda v: [v[0] + v[1], 2.0 * (v[0] + v[1]) - 1.0], (0.0, 0.0)) is None  # singular Jacobian
+
+
+def _sqrt2_system(v):
+    return [v[0] ** 2 - 2.0, v[0] * v[1] - 3.0]
+
+
+def _assert_rows_match_single_starts(fn, starts, stacked):
+    assert len(stacked) == len(starts)
+    for start, x in zip(starts, stacked):
+        single = root(fn, start)
+        assert (x is None) == (single is None)
+        if x is not None:
+            assert np.abs(x - single).max() <= 1e-12
+
+
+def test_stacked_root_matches_single_starts():
+    starts = np.array([(1.0, 1.0), (2.0, 0.5), (0.7, 3.0), (-1.0, -1.0), (5.0, 5.0)])
+    _assert_rows_match_single_starts(_sqrt2_system, starts, root(_sqrt2_system, starts))
+
+
+def test_stacked_root_matches_single_starts_of_the_gap_search(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bands, "root", lambda fn, x0: calls.append((fn, x0)) or root(fn, x0))
+    detect_gap_closings(LatticeSpec.kagome(1.0, 3.0, 1.0), *GAP_WINDOWS[0][:2], grid_n=32)
+    (fn, starts), = calls
+    stacked = root(fn, starts)
+    assert len(starts) == 31 and sum(x is None for x in stacked) == 5
+    _assert_rows_match_single_starts(fn, starts, stacked)
+
+
+def test_stacked_root_returns_none_only_for_its_bad_rows():
+    # the Jacobian is zero at the origin, and a NaN start has non-finite values
+    stacked = root(_sqrt2_system, [(1.0, 1.0), (0.0, 0.0), (math.nan, 1.0), (2.0, 0.5)])
+    assert stacked[1] is None and stacked[2] is None
+    for x in (stacked[0], stacked[3]):
+        assert list(x) == pytest.approx([math.sqrt(2.0), 3.0 / math.sqrt(2.0)], rel=1e-15)
 
 
 # --------------------------------------------------------------------------
