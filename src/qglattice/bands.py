@@ -36,8 +36,8 @@ from .kernels import (
     SQRT3,
     kagome_equilateral_F,
     lambda_arrays,
-    tri_bracket_neg,
-    tri_bracket_pos,
+    tri_bracket_parts_neg,
+    tri_bracket_parts_pos,
     _fg_arrays,
     _lambdas,
     _require_side,
@@ -171,10 +171,11 @@ def _extremal_brackets(x, side, spec: LatticeSpec):
     if spec.is_kagome:
         l1, l2, l3 = lambda_arrays(x, side, spec)
         return l1 - 3.0 * l2, l1 + 1.5 * (l2 + SQRT3 * l3), l1 + 1.5 * (l2 - SQRT3 * l3)
-    tri_bracket = tri_bracket_pos if side == "positive" else tri_bracket_neg
-    # the triangular bracket depends on theta through f only, and f = -3/2 at both corners
-    corner = tri_bracket(x, -1.5, spec)
-    return tri_bracket(x, 3.0, spec), corner, corner
+    # the triangular bracket A - C f depends on theta through f only, and
+    # f = -3/2 at both corners
+    a, c = (tri_bracket_parts_pos if side == "positive" else tri_bracket_parts_neg)(x, spec)
+    corner = a - c * (-1.5)
+    return a - c * 3.0, corner, corner
 
 
 def _margin_of(brackets):

@@ -18,6 +18,7 @@ import numpy as np
 from . import asymptotics as asy
 from . import probability as prob
 from .bands import (
+    MAX_PROBES,
     InternalConsistencyError,
     flat_bands,
     scan_bands,
@@ -166,6 +167,8 @@ def _cmd_asymptotics(args) -> int:
 def _cmd_oracle_check(args) -> int:
     if args.grid_n < 1:
         raise ValueError(f"--grid-n must be at least 1, got {args.grid_n}")
+    if args.grid_n ** 2 > MAX_PROBES:
+        raise ValueError(f"--grid-n ** 2 = {args.grid_n ** 2:.3g} grid points, the limit is {MAX_PROBES:.0e}")
     spec = _spec_from_args(args)
     z = complex(args.k) if args.side == "positive" else 1j * args.k
     matrix_fn = kagome_secular_matrix if spec.is_kagome else triangular_secular_matrix

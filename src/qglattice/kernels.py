@@ -264,24 +264,36 @@ G_DENOMINATOR_EPS = 1.0e-8
 
 def tri_bracket_pos(k, f, spec: LatticeSpec):
     """Raw triangular positive-side bracket at momentum k and weight f."""
-    d, ell = spec.d, spec.ell
-    x = (k * ell) ** 2
-    return (
-        3.0 * (x * x + 6.0 * x + 1.0)
-        + (3.0 * x * x + 10.0 * x + 3.0) * (2.0 * np.cos(k * d) + np.cos(2.0 * k * d))
-        - 4.0 * (x - 1.0) ** 2 * np.cos(k * d / 2.0) ** 2 * f
-    )
+    a, c = tri_bracket_parts_pos(k, spec)
+    return a - c * f
 
 
 def tri_bracket_neg(kp, f, spec: LatticeSpec):
     """Raw triangular negative-side bracket at kappa and weight f."""
+    a, c = tri_bracket_parts_neg(kp, spec)
+    return a - c * f
+
+
+def tri_bracket_parts_pos(k, spec: LatticeSpec):
+    """Parts (A, C) of the positive-side bracket A - C f, for evaluating several f at once."""
+    d, ell = spec.d, spec.ell
+    x = (k * ell) ** 2
+    a = (
+        3.0 * (x * x + 6.0 * x + 1.0)
+        + (3.0 * x * x + 10.0 * x + 3.0) * (2.0 * np.cos(k * d) + np.cos(2.0 * k * d))
+    )
+    return a, 4.0 * (x - 1.0) ** 2 * np.cos(k * d / 2.0) ** 2
+
+
+def tri_bracket_parts_neg(kp, spec: LatticeSpec):
+    """Parts (A, C) of the negative-side bracket A - C f."""
     d, ell = spec.d, spec.ell
     x = (kp * ell) ** 2
-    return (
+    a = (
         3.0 * (x * x - 6.0 * x + 1.0)
         + (3.0 * x * x - 10.0 * x + 3.0) * (2.0 * np.cosh(kp * d) + np.cosh(2.0 * kp * d))
-        - 4.0 * (x + 1.0) ** 2 * np.cosh(kp * d / 2.0) ** 2 * f
     )
+    return a, 4.0 * (x + 1.0) ** 2 * np.cosh(kp * d / 2.0) ** 2
 
 
 def tri_G(k, spec: LatticeSpec):

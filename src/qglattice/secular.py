@@ -50,12 +50,13 @@ matrix alone, not the kernel formulas.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import InternalConsistencyError
+from .bands import MAX_PROBES, InternalConsistencyError
 from .kernels import EXTREMAL_THETAS, SQRT3, GeometryError, LatticeSpec, Quasimomentum, _require_side
 
 # raw-to-conventional determinant rescale factors, calibrated once against
@@ -85,32 +86,71 @@ class SecularSystem:
         return raw * (-8.0 / self.spec.ell ** 3)
 
 
-def _assemble(dim, funs, rows, z, phases, boundary, waves, ell):
-    """Vertex-condition rows val(f) - val(g) + i ell (sf f' + sg g'), broadcast
-    over arrays of z and of the phase factors; returns shape (..., dim, dim).
+def _entry_table(funs, rows) -> tuple:
+    """Where `_assemble` places each entry of the vertex-condition rows `rows`.
 
     `funs` maps an edge function to its (plus column, minus column, boundary
-    phase index or None); a phased function carries the boundary shift
-    e^(-+ i z boundary).  Each row of `rows` is ((f, point, sf), (g, point, sg)),
-    and `waves[point]` holds the plane waves (e^(i z x), e^(-i z x)) there.
+    phase index or None); each row of `rows` is ((f, point, sf), (g, point, sg)).
+    A term's values depend only on its (phase index, point) pair, not on the
+    edge function.  Returns the matrix size, the distinct pairs, and the
+    row, column and position in the stack [val + der, val - der] of each
+    entry, with the entries of first terms before those of second terms
+    (which are negated), and the number of first-term entries.
     """
-    iz = 1j * z
-    il = 1j * ell
-    shifts = (np.exp(-1j * z * boundary), np.exp(1j * z * boundary))
-    out = np.zeros(np.broadcast_shapes(np.shape(z), *map(np.shape, phases)) + (dim, dim), complex)
-    parts = {}  # (f, point) -> values and i ell derivatives at its plus and minus columns
+    pairs = {}
+    placed = ([], [])  # first terms, second terms: (row, column, val - der?, value column)
     for r, terms in enumerate(rows):
         for first, (name, point, sder) in zip((True, False), terms):
             plus, minus, phase = funs[name]
-            if (name, point) not in parts:
-                sp, sm = (1.0, 1.0) if phase is None else (phases[phase] * shifts[0], phases[phase] * shifts[1])
-                ep, em = waves[point]
-                parts[name, point] = (sp * ep, il * (iz * sp * ep), sm * em, -(il * (iz * sm * em)))
-            val_p, der_p, val_m, der_m = parts[name, point]
-            for col, val, der in ((plus, val_p, der_p), (minus, val_m, der_m)):
-                # +-val +- der, with the signs outside the rounded sums
-                entry = val + der if (sder > 0) == first else val - der
-                out[..., r, col] = entry if first else -entry
+            j = pairs.setdefault((phase, point), len(pairs))
+            for half, col in enumerate((plus, minus)):
+                placed[not first].append((r, col, (sder > 0) != first, 2 * j + half))
+    r, col, minus_der, k = (np.array(a) for a in zip(*placed[0], *placed[1]))
+    return len(rows), tuple(pairs), r, col, minus_der * 2 * len(pairs) + k, len(placed[0])
+
+
+def _assemble(table, z, phases, boundary, waves, ell):
+    """Vertex-condition rows val(f) - val(g) + i ell (sf f' + sg g'), broadcast
+    over arrays of z and of the phase factors; returns shape (..., dim, dim).
+
+    A phased function carries the boundary shift e^(-+ i z boundary), and
+    `waves[point]` holds the plane waves (e^(i z x), e^(-i z x)) there.  The
+    values and i ell derivatives of each distinct (phase, point) pair are
+    computed once, as array math on the stacked pairs for an array z and
+    column by column otherwise (numpy's scalar and array complex products
+    can differ in the last bit).  One stacked +-val +- der, the signs outside
+    the rounded sums, then places every entry exactly as if it were computed
+    on its own.
+    """
+    dim, pairs, rows, cols, source, n_first = table
+    iz = 1j * z
+    il = 1j * ell
+    shifts = (np.exp(-1j * z * boundary), np.exp(1j * z * boundary))
+    shape = np.broadcast(z, *phases).shape
+    factors, planes = [], []  # per value column: boundary shift, plane wave
+    for phase, point in pairs:
+        factors += (1.0, 1.0) if phase is None else (phases[phase] * shifts[0], phases[phase] * shifts[1])
+        planes += waves[point]
+    if np.ndim(z):  # array math on the stacked columns
+        factors, planes = _stack(shape, factors), _stack(np.shape(z), planes)
+        vals = factors * planes
+        ders = il * (iz[..., None] * factors * planes)
+    else:  # column by column, so that products of scalars stay scalar math
+        vals = _stack(shape, [f * w for f, w in zip(factors, planes)])
+        ders = _stack(shape, [il * (iz * f * w) for f, w in zip(factors, planes)])
+    np.negative(ders[..., 1::2], out=ders[..., 1::2])  # e^(-i z x) has derivative -i z e^(-i z x)
+    entries = np.concatenate((vals + ders, vals - ders), axis=-1)[..., source]
+    np.negative(entries[..., n_first:], out=entries[..., n_first:])
+    out = np.zeros(shape + (dim, dim), complex)
+    out[..., rows, cols] = entries
+    return out
+
+
+def _stack(shape, columns) -> np.ndarray:
+    """Complex array of `shape` plus a last axis holding the broadcast `columns`."""
+    out = np.empty(shape + (len(columns),), complex)
+    for k, column in enumerate(columns):
+        out[..., k] = column
     return out
 
 
@@ -136,14 +176,16 @@ _KAGOME_ROWS = (
     (("chi4", 0, -1.0), ("chi3", 1, -1.0)),
     (("chi1", 0, 1.0), ("chi4", 0, -1.0)),
 )
+_KAGOME_TABLE = _entry_table(_KAGOME_FUNS, _KAGOME_ROWS)
 
 
 def _kagome_rows(z, p1, p2, p3, c, d, ell):
     """12 x 12 system for phase factors p1 = e^{i t1}, p2 = e^{i t2}, p3 = e^{i(t2-t1)},
     broadcast over arrays of z and of the phase factors."""
     h = (d - c) / 2.0
-    waves = {m: (np.exp(1j * z * (m * h)), np.exp(-1j * z * (m * h))) for m in (0, 1, -1)}
-    return _assemble(12, _KAGOME_FUNS, _KAGOME_ROWS, z, (p1, p2, p3), c, waves, ell)
+    iz, miz = 1j * z, -1j * z
+    waves = {m: (np.exp(iz * (m * h)), np.exp(miz * (m * h))) for m in (0, 1, -1)}
+    return _assemble(_KAGOME_TABLE, z, (p1, p2, p3), c, waves, ell)
 
 
 # triangular edge end -> (plus column, minus column, boundary phase index);
@@ -159,11 +201,12 @@ _TRI_FUNS = {
 _TRI_ORDER = (("psi1", 1.0), ("psi2", 1.0), ("phi4", -1.0), ("phi1", -1.0), ("chi4", -1.0), ("chi1", 1.0))
 _TRI_ROWS = tuple(((nxt, 0, snxt), (a, 0, sa))
                   for (a, sa), (nxt, snxt) in zip(_TRI_ORDER, _TRI_ORDER[1:] + _TRI_ORDER[:1]))
+_TRI_TABLE = _entry_table(_TRI_FUNS, _TRI_ROWS)
 
 
 def _triangular_rows(z, p1, p2, p3, d, ell):
     """6 x 6 system, broadcast like `_kagome_rows`; every end sits at the vertex."""
-    return _assemble(6, _TRI_FUNS, _TRI_ROWS, z, (p1, p2, p3), d, {0: (1.0, 1.0)}, ell)
+    return _assemble(_TRI_TABLE, z, (p1, p2, p3), d, {0: (1.0, 1.0)}, ell)
 
 
 def _phases(t1, t2):
@@ -223,19 +266,40 @@ def normalized_bracket(z, theta: Quasimomentum, spec: LatticeSpec) -> complex:
     return np.linalg.det(matrix(z, theta, spec).matrix) / _bracket_prefactor(z, theta.theta2, spec)
 
 
+def _matrices(z, phases, spec: LatticeSpec) -> np.ndarray:
+    """Secular matrices, broadcast over arrays of z and of the phase factors p1, p2, p3."""
+    if spec.is_kagome:
+        return _kagome_rows(z, *phases, spec.c, spec.d, spec.ell)
+    return _triangular_rows(z, *phases, spec.d, spec.ell)
+
+
 def _det_grid(z, theta1, theta2, spec: LatticeSpec) -> np.ndarray:
     """Raw determinants, broadcast over arrays of z and of the quasimomentum angles."""
-    phases = _phases(theta1, theta2)
-    if spec.is_kagome:
-        mats = _kagome_rows(z, *phases, spec.c, spec.d, spec.ell)
-    else:
-        mats = _triangular_rows(z, *phases, spec.d, spec.ell)
-    return np.linalg.det(mats)
+    return np.linalg.det(_matrices(z, _phases(theta1, theta2), spec))
 
 
 #: Fourier orders of the bracket series and the five sample angles 2 pi m / 5.
 _ORDERS = np.arange(-2, 3)
 _NODES = 2.0 * np.pi * np.arange(5) / 5.0
+#: Phase factors p1, p2, p3 on the 5 x 5 node grid.
+_NODE_PHASES = _phases(_NODES[:, None], _NODES[None, :])
+#: DFT over the theta1 nodes, and (transposed) over the theta2 nodes shifted
+#: by -2 against the prefactor's e^(2 i theta2).
+_DFT = np.exp(-1j * np.outer(_ORDERS, _NODES)) / 5.0
+_DFT_SHIFTED = (_DFT * np.exp(-2j * _NODES)).T
+#: e^(i m theta) at the three EXTREMAL_THETAS: [e, 0] for theta1, [e, 1] for theta2.
+_EXTREMAL = np.exp(1j * np.multiply.outer(np.array(EXTREMAL_THETAS), _ORDERS))
+for _const in (*_NODE_PHASES, _DFT, _DFT_SHIFTED, _EXTREMAL):
+    _const.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=8)
+def _theta_grid(n: int) -> np.ndarray:
+    """e^(i m t) on the n-point grid t in [-pi, pi), one row per t; read-only."""
+    t = np.linspace(-np.pi, np.pi, n, endpoint=False)
+    grid = np.exp(1j * np.outer(t, _ORDERS))
+    grid.flags.writeable = False
+    return grid
 
 
 def _bracket_coefficients(z, spec: LatticeSpec) -> np.ndarray:
@@ -248,10 +312,9 @@ def _bracket_coefficients(z, spec: LatticeSpec) -> np.ndarray:
     (hyperbolic overflow on the negative side) raises InternalConsistencyError.
     """
     with np.errstate(all="ignore"):
-        dets = _det_grid(z[:, None, None], _NODES[:, None], _NODES[None, :], spec)
-        dft = np.exp(-1j * np.outer(_ORDERS, _NODES)) / 5.0
+        dets = np.linalg.det(_matrices(z[:, None, None], _NODE_PHASES, spec))
         prefactor = _bracket_prefactor(z, 0.0, spec)
-        coeffs = dft @ dets @ (dft * np.exp(-2j * _NODES)).T / prefactor[:, None, None]
+        coeffs = _DFT @ dets @ _DFT_SHIFTED / prefactor[:, None, None]
     finite = np.isfinite(dets).all(axis=(1, 2)) & np.isfinite(coeffs).all(axis=(1, 2)) & np.isfinite(prefactor)
     if not finite.all():
         bad = z[np.flatnonzero(~finite)[0]]
@@ -267,17 +330,18 @@ def _bracket_scale(x, extremal, spec: LatticeSpec):
     for kagome and A - C f for triangular, and f, g there are (3, 0) and
     (-3/2, +-3 sqrt(3)/2).
     """
-    b0, bp, bm = np.moveaxis(np.asarray(extremal), -1, 0)
+    extremal = np.asarray(extremal)
+    b0, bp, bm = extremal[..., 0], extremal[..., 1], extremal[..., 2]
     zmod = np.abs(x)
     if spec.is_kagome:
         l1 = (b0 + bp + bm) / 3.0
         l2 = (l1 - b0) / 3.0
         l3 = (bp - bm) / (3.0 * SQRT3)
         floor = ((zmod * spec.ell) ** 2 + 1.0) ** 3
-        return np.maximum.reduce([abs(l1), 3.0 * abs(l2), 1.5 * (abs(l2) + SQRT3 * abs(l3)), floor])
+        return np.maximum(np.maximum(abs(l1), 3.0 * abs(l2)), np.maximum(1.5 * (abs(l2) + SQRT3 * abs(l3)), floor))
     c = (bp - b0) / 4.5
     floor = ((zmod * spec.ell) ** 2 + 1.0) ** 2
-    return np.maximum.reduce([abs(b0 + 3.0 * c), 3.0 * abs(c), floor])
+    return np.maximum(np.maximum(abs(b0 + 3.0 * c), 3.0 * abs(c)), floor)
 
 
 #: Relative tolerance declaring the reduced determinant to vanish.
@@ -309,22 +373,22 @@ def oracle_in_spectrum_many(xs, spec: LatticeSpec, theta_grid_n: int = 64, side:
     _require_side(side)
     if theta_grid_n < 8:
         raise ValueError("theta_grid_n must be at least 8")
+    if theta_grid_n ** 2 > MAX_PROBES:
+        raise ValueError(f"theta_grid_n ** 2 = {theta_grid_n ** 2:.3g} grid points, the limit is {MAX_PROBES:.0e}")
     xs = np.asarray(xs, dtype=float)
     flat = xs.ravel()
     bad = ~((flat > 0.0) & (flat < math.inf))
     if bad.any():
         raise ValueError(f"momentum argument must be finite and positive, got {flat[bad][0]}")
-    member = np.zeros(flat.shape, bool)
+    member = np.zeros(flat.shape, bool)  # negative side: no sine factors
     if side == "positive":
         lengths = (spec.c, spec.d, spec.d - spec.c) if spec.is_kagome else (spec.d,)
         # a vanishing sine factor is an infinitely degenerate eigenvalue;
         # testing per factor keeps the detection zone tight even where
         # several families coincide
-        for L in lengths:
-            member |= np.abs(np.sin(flat * L / 2.0)) <= SINE_ZERO_TOL * np.maximum(1.0, flat * L / 2.0)
-    t = np.linspace(-np.pi, np.pi, theta_grid_n, endpoint=False)
-    grid = np.exp(1j * np.outer(t, _ORDERS))
-    extremal = np.exp(1j * np.multiply.outer(np.array(EXTREMAL_THETAS), _ORDERS))
+        half = np.multiply.outer(flat, lengths) / 2.0
+        member = (np.abs(np.sin(half)) <= SINE_ZERO_TOL * np.maximum(1.0, half)).any(axis=-1)
+    grid = _theta_grid(theta_grid_n)
     todo = np.flatnonzero(~member)
     chunk = max(1, _CHUNK_VALUES // (theta_grid_n ** 2 + 25 * 12 ** 2))
     for start in range(0, todo.size, chunk):
@@ -333,7 +397,7 @@ def oracle_in_spectrum_many(xs, spec: LatticeSpec, theta_grid_n: int = 64, side:
         coeffs = _bracket_coefficients(x + 0j if side == "positive" else 1j * x, spec)
         partial = grid @ coeffs  # theta1-series summed on the grid rows
         vals = partial.real @ grid.real.T - partial.imag @ grid.imag.T
-        corners = np.einsum("ej,njk,ek->ne", extremal[:, 0], coeffs, extremal[:, 1]).real
+        corners = np.einsum("ej,njk,ek->ne", _EXTREMAL[:, 0], coeffs, _EXTREMAL[:, 1]).real
         vmin = np.minimum(vals.min(axis=(1, 2)), corners.min(axis=1))
         vmax = np.maximum(vals.max(axis=(1, 2)), corners.max(axis=1))
         # without a sign change the smallest |value| is |vmin| or |vmax|; its

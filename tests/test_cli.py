@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from qglattice import probability
+from qglattice import cli, probability
+from qglattice.bands import MAX_PROBES
 from qglattice.cli import main
 
 
@@ -160,6 +161,14 @@ def test_oracle_check_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "k,theta1,theta2,det_re,det_im,normalized"
     assert len(lines) == 65
+
+
+def test_oracle_check_grid_limit_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "np", None)  # refused before the grid is built or looped over
+    code = main(["oracle-check", "--kind", "kagome", "--c", "1", "--d", "3", "--k", "1.3",
+                 "--grid-n", str(math.isqrt(MAX_PROBES) + 1), "--out", str(tmp_path / "oc.csv")])
+    assert code == 2
+    assert "--grid-n" in capsys.readouterr().err
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

@@ -6,11 +6,21 @@ import sys
 import numpy as np
 import pytest
 
+from qglattice import secular
 from qglattice.kernels import LatticeSpec, Quasimomentum, bracket, f_theta
 from qglattice.secular import (
+    _DFT,
+    _DFT_SHIFTED,
+    _EXTREMAL,
+    _KAGOME_FUNS,
+    _KAGOME_ROWS,
+    _NODE_PHASES,
+    _TRI_FUNS,
+    _TRI_ROWS,
     _bracket_coefficients,
-    _kagome_rows,
-    _triangular_rows,
+    _matrices,
+    _phases,
+    _theta_grid,
     kagome_secular_det,
     kagome_secular_matrix,
     normalized_bracket,
@@ -19,7 +29,7 @@ from qglattice.secular import (
     triangular_secular_det,
     triangular_secular_matrix,
 )
-from qglattice.bands import InternalConsistencyError, in_band, scan_bands, scan_negative_bands
+from qglattice.bands import MAX_PROBES, InternalConsistencyError, in_band, scan_bands, scan_negative_bands
 from qglattice.kernels import GeometryError
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -102,6 +112,55 @@ def test_secular_matrix_shape_and_errors():
         triangular_secular_matrix(1.0, Quasimomentum(0.0, 0.0), spec)
     with pytest.raises(ValueError):
         kagome_secular_matrix(0.0, Quasimomentum(0.0, 0.0), spec)
+
+
+def _reference_matrices(spec, z, phases):
+    """The secular matrices built one vertex-condition term at a time, in row
+    order, each entry +-(val +- der) on its own."""
+    if spec.is_kagome:
+        funs, rows, boundary = _KAGOME_FUNS, _KAGOME_ROWS, spec.c
+        h = (spec.d - spec.c) / 2.0
+        waves = {m: (np.exp(1j * z * (m * h)), np.exp(-1j * z * (m * h))) for m in (0, 1, -1)}
+    else:
+        funs, rows, boundary = _TRI_FUNS, _TRI_ROWS, spec.d
+        waves = {0: (1.0, 1.0)}
+    iz, il = 1j * z, 1j * spec.ell
+    shifts = (np.exp(-1j * z * boundary), np.exp(1j * z * boundary))
+    out = np.zeros(np.broadcast(z, *phases).shape + (len(rows), len(rows)), complex)
+    for r, terms in enumerate(rows):
+        for first, (name, point, sder) in zip((True, False), terms):
+            plus, minus, phase = funs[name]
+            sp, sm = (1.0, 1.0) if phase is None else (phases[phase] * shifts[0], phases[phase] * shifts[1])
+            ep, em = waves[point]
+            for col, val, der in ((plus, sp * ep, il * (iz * sp * ep)), (minus, sm * em, -(il * (iz * sm * em)))):
+                entry = val + der if (sder > 0) == first else val - der
+                out[..., r, col] = entry if first else -entry
+    return out
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS + [LatticeSpec.kagome(0.7, 1.9, 1.3), LatticeSpec.triangular(1.3, 0.8)],
+                         ids=ORACLE_IDS + ["kagome-2", "triangular-2"])
+@pytest.mark.parametrize("side", ["positive", "negative", "complex"])
+def test_assembly_matches_entry_by_entry_reference(spec, side):
+    # the entry table computes each distinct boundary part once and places
+    # every entry in a few stacked operations; scalar and batched matrices
+    # must equal the term-by-term construction bit for bit (complex momenta
+    # tell numpy's scalar and array products apart)
+    rng = np.random.default_rng(48)
+    xs = rng.uniform(0.05, 40.0 if side == "positive" else 4.0, 150)
+    zs = {"positive": xs + 0j, "negative": 1j * xs, "complex": xs + 1j * rng.uniform(-1.0, 1.0, xs.size)}[side]
+    matrix = kagome_secular_matrix if spec.is_kagome else triangular_secular_matrix
+    for z in zs[:100]:
+        q = Quasimomentum(*rng.uniform(-math.pi, math.pi, 2))
+        got = matrix(complex(z), q, spec).matrix
+        want = _reference_matrices(spec, complex(z), _phases(q.theta1, q.theta2))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    t1, t2 = rng.uniform(-math.pi, math.pi, (2, 4))
+    grid = _phases(t1[:, None], t2[None, :])
+    batch = zs[100:, None, None]
+    for z, phases in ((batch, _NODE_PHASES), (batch, grid), (complex(zs[0]), grid)):
+        got, want = _matrices(z, phases, spec), _reference_matrices(spec, z, phases)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -207,7 +266,8 @@ def test_oracle_needs_no_kernel(monkeypatch, spec, side):
 
     for name, module in list(sys.modules.items()):
         if name == "qglattice" or name.startswith("qglattice."):
-            for fn in ("lambda_arrays", "tri_bracket_pos", "tri_bracket_neg"):
+            for fn in ("lambda_arrays", "tri_bracket_pos", "tri_bracket_neg",
+                       "tri_bracket_parts_pos", "tri_bracket_parts_neg"):
                 if hasattr(module, fn):
                     monkeypatch.setattr(module, fn, kernel_called)
     assert not oracle_in_spectrum(gap_mid, spec, side=side)
@@ -232,6 +292,26 @@ def test_oracle_requires_positive_argument_and_grid():
         oracle_in_spectrum(-1.0, spec)
     with pytest.raises(ValueError):
         oracle_in_spectrum(1.0, spec, theta_grid_n=4)
+
+
+def test_oracle_theta_grid_limit_rejected_before_allocating(monkeypatch):
+    # theta_grid_n ** 2 above MAX_PROBES is refused before any array is made
+    monkeypatch.setattr(secular, "np", None)
+    spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
+    for n in (math.isqrt(MAX_PROBES) + 1, 200000):
+        with pytest.raises(ValueError, match="theta_grid_n"):
+            oracle_in_spectrum(1.3, spec, theta_grid_n=n)
+
+
+def test_oracle_theta_tables_cached_and_read_only():
+    grid = _theta_grid(64)
+    assert _theta_grid(64) is grid
+    assert grid.shape == (64, 5) and _theta_grid(8).shape == (8, 5)
+    t = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+    assert grid.tobytes() == np.exp(1j * np.outer(t, np.arange(-2, 3))).tobytes()
+    for table in (grid, _theta_grid(8), _EXTREMAL, _DFT, _DFT_SHIFTED, *_NODE_PHASES):
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0.0
 
 
 def test_oracle_many_matches_single_calls():
@@ -280,15 +360,10 @@ def test_determinant_degree_structure(spec, side, top):
     largest = np.abs(coeffs).max(axis=(1, 2))
     assert np.all(np.abs(coeffs[:, off]).max(axis=1) <= 1e-12 * largest)
 
-    def rows(z, phases):
-        if spec.is_kagome:
-            return _kagome_rows(z, *phases, spec.c, spec.d, spec.ell)
-        return _triangular_rows(z, *phases, spec.d, spec.ell)
-
     for z in zs:
         base = np.exp(1j * rng.uniform(-math.pi, math.pi, 3))
         for i in range(3):
-            at = [rows(z, np.where(np.arange(3) == i, p, base)) for p in (0.0, 1.0, 2.0)]
+            at = [_matrices(z, np.where(np.arange(3) == i, p, base), spec) for p in (0.0, 1.0, 2.0)]
             step = at[1] - at[0]
             assert np.count_nonzero(np.abs(step).max(axis=1)) <= 2
             assert np.allclose(at[2] - at[1], step, rtol=0.0, atol=1e-12 * np.abs(at[1]).max())
