@@ -41,6 +41,7 @@ from .kernels import (
     _fg_arrays,
     _lambdas,
     _require_side,
+    bracket_curvature_bound,
 )
 
 #: Band edges are bisected until the bracket width drops below this,
@@ -58,6 +59,15 @@ DEGENERATE_TRIG_TOL = 1.0e-9
 
 #: Largest number of grid probes (k_max / resolution) a scan accepts.
 MAX_PROBES = 100_000_000
+
+#: Stride of the probes that a positive scan evaluates first (_strip_step).
+SKIP_STRIDE = 8
+
+#: Rounding error of a float64 extremal bracket, relative to its error scale
+#: S (kernels.bracket_curvature_bound).  The kernels' phases k w carry a
+#: rounding error of a few eps k w, so the bracket is off by a few eps S;
+#: tests/test_kernels.py measures it against mpmath.
+BRACKET_RTOL = 1.0e-12
 
 
 class InternalConsistencyError(RuntimeError):
@@ -189,14 +199,13 @@ def _margin(x, side, spec: LatticeSpec):
     return _margin_of(_extremal_brackets(x, side, spec))
 
 
-def _strip_step(xs, side, spec: LatticeSpec):
+def _flags(xs, brackets, side, spec: LatticeSpec):
     """In-band flags of a probe array and its sign bits: bit j of each uint8
     is set where extremal bracket j is positive.
 
     A non-finite bracket (an overflowing kernel) raises: its sign bits and
     margin would say nothing about membership.
     """
-    brackets = _extremal_brackets(xs, side, spec)
     bits = np.zeros(xs.shape, np.uint8)
     for j, b in enumerate(brackets):
         finite = np.isfinite(b)
@@ -206,6 +215,40 @@ def _strip_step(xs, side, spec: LatticeSpec):
             )
         bits |= (b > 0.0).view(np.uint8) << j
     return _margin_of(brackets) <= 0.0, bits
+
+
+def _strip_step(xs, side, spec: LatticeSpec):
+    """`_flags` of a sorted probe array, evaluating only the probes near a sign change.
+
+    Every SKIP_STRIDE-th probe and the last one are evaluated first.  The
+    cell between two of them is certified when each bracket has the same
+    sign at both ends, by more than its largest departure from the chord,
+    M H^2 / 8 (M from kernels.bracket_curvature_bound, H the cell's width),
+    plus BRACKET_RTOL times its error scale S.  No bracket then changes sign
+    inside the cell, in exact or in float arithmetic, so its probes take
+    its left end's flag and bits.  The probes of the other cells are
+    evaluated in one further call.  Without a bound (the negative side),
+    or with at most 2 SKIP_STRIDE probes, every probe is evaluated at once.
+    """
+    ends = np.append(np.arange(0, xs.size - 1, SKIP_STRIDE), xs.size - 1)
+    bound = bracket_curvature_bound(xs[ends[1:]], side, spec) if xs.size > 2 * SKIP_STRIDE else None
+    if bound is None:
+        return _flags(xs, _extremal_brackets(xs, side, spec), side, spec)
+    brackets = _extremal_brackets(xs[ends], side, spec)
+    inb, bits = _flags(xs[ends], brackets, side, spec)
+    chord = np.diff(xs[ends]) ** 2 / 8.0
+    certified = np.ones(ends.size - 1, bool)
+    for b, m, s in zip(brackets, *bound):
+        certified &= ((b[:-1] > 0.0) == (b[1:] > 0.0)) & (
+            np.minimum(np.abs(b[:-1]), np.abs(b[1:])) > m * chord + BRACKET_RTOL * s)
+    widths = np.diff(ends)
+    inb, bits = (np.append(np.repeat(a[:-1], widths), a[-1]) for a in (inb, bits))
+    todo = np.append(np.repeat(~certified, widths), False)
+    todo[ends] = False
+    todo = np.flatnonzero(todo)
+    if todo.size:
+        inb[todo], bits[todo] = _flags(xs[todo], _extremal_brackets(xs[todo], side, spec), side, spec)
+    return inb, bits
 
 
 def _require_positive(name, value) -> None:

@@ -14,6 +14,7 @@ continuations of the trigonometric ones).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -152,10 +153,11 @@ def _fg_arrays(theta1, theta2):
 
 def _lambda1_pos(k, c, d, ell):
     x = (k * ell) ** 2
+    cos_d = np.cos(k * d)
     return 2.0 * (x + 1.0) * (
         4.0 * (x + 1.0) ** 2
-        * (np.cos(k * (c + d)) + np.cos(k * (c - 2.0 * d)) + 2.0 * np.cos(k * d) + np.cos(2.0 * k * d))
-        + (x * x + 14.0 * x + 1.0) * (2.0 * np.cos(k * d) + 1.0) * np.cos(k * (2.0 * c - d))
+        * (np.cos(k * (c + d)) + np.cos(k * (c - 2.0 * d)) + 2.0 * cos_d + np.cos(2.0 * k * d))
+        + (x * x + 14.0 * x + 1.0) * (2.0 * cos_d + 1.0) * np.cos(k * (2.0 * c - d))
         + (3.0 * x * x + 18.0 * x + 3.0)
         + (5.0 * x * x + 22.0 * x + 5.0) * (np.cos(k * (d - c)) + np.cos(k * c))
     )
@@ -180,10 +182,11 @@ def _lambda3_pos(k, c, d, ell):
 
 def _lambda1_neg(kp, c, d, ell):
     x = (kp * ell) ** 2
+    cosh_d = np.cosh(kp * d)
     return 2.0 * (1.0 - x) * (
         4.0 * (x - 1.0) ** 2
-        * (np.cosh(kp * (c + d)) + np.cosh(kp * (c - 2.0 * d)) + 2.0 * np.cosh(kp * d) + np.cosh(2.0 * kp * d))
-        + (x * x - 14.0 * x + 1.0) * (2.0 * np.cosh(kp * d) + 1.0) * np.cosh(kp * (2.0 * c - d))
+        * (np.cosh(kp * (c + d)) + np.cosh(kp * (c - 2.0 * d)) + 2.0 * cosh_d + np.cosh(2.0 * kp * d))
+        + (x * x - 14.0 * x + 1.0) * (2.0 * cosh_d + 1.0) * np.cosh(kp * (2.0 * c - d))
         + (3.0 * x * x - 18.0 * x + 3.0)
         + (5.0 * x * x - 22.0 * x + 5.0) * (np.cosh(kp * (d - c)) + np.cosh(kp * c))
     )
@@ -294,6 +297,127 @@ def tri_bracket_parts_neg(kp, spec: LatticeSpec):
         + (3.0 * x * x - 10.0 * x + 3.0) * (2.0 * np.cosh(kp * d) + np.cosh(2.0 * kp * d))
     )
     return a, 4.0 * (x + 1.0) ** 2 * np.cosh(kp * d / 2.0) ** 2
+
+
+# --------------------------------------------------------------------------
+# Curvature bound of the positive-side extremal brackets.  Each kernel above
+# is expanded, product to sum, into a series sum_m P_m(k) e^(i w_m k): a
+# dict from the frequency w = (p c + q d) / 2, kept as the integer pair
+# (p, q) so that equal frequencies merge exactly (as (p + 2 q, 0) for the
+# equilateral lattice, where d = 2 c), to the ascending coefficients of P_m.
+# A term's second derivative is (P'' + 2 i w P' - w^2 P) e^(i w k), so with
+# |P| the polynomial of the coefficients' moduli, |T''| <= |P|'' + 2 |w| |P|'
+# + w^2 |P| for k >= 0: a polynomial with nonnegative coefficients, which is
+# nondecreasing in k.
+
+def _poly_add(*polys):
+    """Sum of ascending coefficient arrays of any lengths."""
+    out = np.zeros(max(map(len, polys)), np.result_type(*polys))
+    for p in polys:
+        out[:len(p)] += p
+    return out
+
+
+def _poly_der(p):
+    return p[1:] * np.arange(1, len(p))
+
+
+def _series_sum(*terms):
+    """Sum of (weight, series) terms."""
+    out = {}
+    for weight, series in terms:
+        for key, coeffs in series.items():
+            out[key] = _poly_add(out.get(key, coeffs[:0]), weight * coeffs)
+    return out
+
+
+def _series_product(*factors):
+    out = {(0, 0): np.ones(1, complex)}
+    for factor in factors:
+        product = {}
+        for (p1, q1), a in out.items():
+            for (p2, q2), b in factor.items():
+                key = (p1 + p2, q1 + q2)
+                product[key] = _poly_add(product.get(key, a[:0]), np.convolve(a, b))
+        out = product
+    return out
+
+
+def _kernel_series(spec: LatticeSpec):
+    """Series of the positive-side kernels and the weights of the three
+    extremal brackets on them: bracket j is sum_i weights[j][i] kernels[i]."""
+    c, d, ell = spec.c, spec.d, spec.ell
+    key = (lambda p, q: (p + 2 * q, 0)) if spec.kind == "equilateral_kagome" else (lambda p, q: (p, q))
+
+    def cos(p, q):
+        return _series_sum((0.5, {key(p, q): np.ones(1, complex)}), (0.5, {key(-p, -q): np.ones(1, complex)}))
+
+    def sin(p, q):
+        return _series_sum((-0.5j, {key(p, q): np.ones(1, complex)}), (0.5j, {key(-p, -q): np.ones(1, complex)}))
+
+    def poly(*ascending):
+        return {(0, 0): np.array(ascending, complex)}
+
+    def quad(a, b, c0):  # a x^2 + b x + c0 with x = (k ell)^2
+        return poly(c0, 0.0, b * ell ** 2, 0.0, a * ell ** 4)
+
+    xp1, xm1 = quad(0.0, 1.0, 1.0), quad(0.0, 1.0, -1.0)
+    if spec.kind == "triangular":
+        a = _series_sum((1.0, quad(3.0, 18.0, 3.0)),
+                        (1.0, _series_product(quad(3.0, 10.0, 3.0), _series_sum((2.0, cos(0, 2)), (1.0, cos(0, 4))))))
+        c_part = _series_product(poly(4.0), xm1, xm1, cos(0, 1), cos(0, 1))
+        return (a, c_part), ((1.0, -3.0), (1.0, 1.5), (1.0, 1.5))
+    l1 = _series_product(poly(2.0), xp1, _series_sum(
+        (4.0, _series_product(xp1, xp1, _series_sum(
+            (1.0, cos(2, 2)), (1.0, cos(2, -4)), (2.0, cos(0, 2)), (1.0, cos(0, 4))))),
+        (1.0, _series_product(quad(1.0, 14.0, 1.0), _series_sum((2.0, cos(0, 2)), (1.0, poly(1.0))), cos(4, -2))),
+        (1.0, quad(3.0, 18.0, 3.0)),
+        (1.0, _series_product(quad(5.0, 22.0, 5.0), _series_sum((1.0, cos(-2, 2)), (1.0, cos(2, 0))))),
+    ))
+    l2 = _series_product(poly(8.0), xp1, xm1, xm1, cos(-1, 1), cos(1, 0),
+                         _series_sum((1.0, cos(2, -1)), (2.0, cos(0, 1))))
+    l3 = _series_product(poly(0.0, 16.0 * ell), xm1, xm1, sin(-1, 1), sin(1, 0), sin(-2, 1))
+    r = 1.5 * SQRT3
+    return (l1, l2, l3), ((1.0, -3.0, 0.0), (1.0, 1.5, r), (1.0, 1.5, -r))
+
+
+@functools.lru_cache(maxsize=32)
+def _curvature_coefficients(spec: LatticeSpec):
+    """Descending coefficients of the majorants (M0, M+, M-) and (S0, S+, S-)."""
+    kernels, weights = _kernel_series(spec)
+    frequency = lambda p, q: abs(p * spec.c + q * spec.d) / 2.0
+    w_max = max(frequency(*key) for series in kernels for key in series)
+    values = [_poly_add(*map(np.abs, series.values())) for series in kernels]
+    curvature, size = [], []
+    for row in weights:
+        series = _series_sum(*zip(row, kernels))
+        m = np.zeros(1)
+        for key, coeffs in series.items():
+            w, a = frequency(*key), np.abs(coeffs)
+            m = _poly_add(m, _poly_der(_poly_der(a)), 2.0 * w * _poly_der(a), w * w * a)
+        s = np.convolve(_poly_add(*(abs(wt) * v for wt, v in zip(row, values))), (1.0, w_max))
+        curvature.append(tuple(m[::-1].tolist()))
+        size.append(tuple(s[::-1].tolist()))
+    return tuple(curvature), tuple(size)
+
+
+def bracket_curvature_bound(x, side, spec: LatticeSpec):
+    """Majorants of the three extremal brackets at momenta up to x, or None.
+
+    Returns ((M0, M+, M-), (S0, S+, S-)) for the brackets l1 - 3 l2 and
+    l1 + 1.5 (l2 +- sqrt(3) l3) (A - 3 C and A + 1.5 C, twice, for the
+    triangular lattice), in the order of EXTREMAL_THETAS.  M_j bounds
+    |B_j''| on all of [0, x].  S_j is the error scale: the sum of the kernels'
+    value majorants, weighted by the bracket, times 1 + w_max x, the growth of
+    the rounding error of phases k w up to the largest frequency w_max; it
+    bounds |B_j| too.  Both are polynomials in x with nonnegative
+    coefficients, built once per spec.  The negative side has no bound (None).
+    """
+    _require_side(side)
+    if side != "positive":
+        return None
+    curvature, size = _curvature_coefficients(spec)
+    return tuple(np.polyval(m, x) for m in curvature), tuple(np.polyval(s, x) for s in size)
 
 
 def tri_G(k, spec: LatticeSpec):

@@ -367,7 +367,8 @@ def oracle_in_spectrum_many(xs, spec: LatticeSpec, theta_grid_n: int = 64, side:
     size misses the narrow sign-change region of momenta close to a band
     edge.  Their values also set the vanishing tolerance.  The bracket is
     evaluated from its exact Fourier series (25 determinants per momentum);
-    momenta are processed in chunks so memory stays bounded.  Returns a
+    momenta are processed in chunks, and a grid too large for one chunk in
+    blocks of rows, so memory stays bounded.  Returns a
     boolean array shaped like `xs`.
     """
     _require_side(side)
@@ -391,15 +392,19 @@ def oracle_in_spectrum_many(xs, spec: LatticeSpec, theta_grid_n: int = 64, side:
     grid = _theta_grid(theta_grid_n)
     todo = np.flatnonzero(~member)
     chunk = max(1, _CHUNK_VALUES // (theta_grid_n ** 2 + 25 * 12 ** 2))
+    rows = max(1, min(theta_grid_n, _CHUNK_VALUES // theta_grid_n))  # grid rows per block
     for start in range(0, todo.size, chunk):
         idx = todo[start:start + chunk]
         x = flat[idx]
         coeffs = _bracket_coefficients(x + 0j if side == "positive" else 1j * x, spec)
         partial = grid @ coeffs  # theta1-series summed on the grid rows
-        vals = partial.real @ grid.real.T - partial.imag @ grid.imag.T
         corners = np.einsum("ej,njk,ek->ne", _EXTREMAL[:, 0], coeffs, _EXTREMAL[:, 1]).real
-        vmin = np.minimum(vals.min(axis=(1, 2)), corners.min(axis=1))
-        vmax = np.maximum(vals.max(axis=(1, 2)), corners.max(axis=1))
+        vmin, vmax = corners.min(axis=1), corners.max(axis=1)
+        for row in range(0, theta_grid_n, rows):
+            block = partial[:, row:row + rows]
+            vals = block.real @ grid.real.T - block.imag @ grid.imag.T
+            vmin = np.minimum(vals.min(axis=(1, 2)), vmin)
+            vmax = np.maximum(vals.max(axis=(1, 2)), vmax)
         # without a sign change the smallest |value| is |vmin| or |vmax|; its
         # vanishing is a band-edge graze or the theta-independent zero of a
         # point-degenerate band

@@ -29,6 +29,7 @@ from qglattice.bands import (
     spectral_threshold,
 )
 from qglattice.asymptotics import equilateral_narrow_band, triangular_narrow_band
+from qglattice.probability import finite_scan_probability
 from qglattice.kernels import (
     EXTREMAL_THETAS,
     LatticeSpec,
@@ -643,6 +644,69 @@ def test_scan_is_block_invariant(monkeypatch, threads):
     for size in (997, 500):
         monkeypatch.setattr(blocks, "BLOCK_POINTS", size)
         assert run() == expected
+    # stride 1 evaluates every probe
+    monkeypatch.setattr(bands, "SKIP_STRIDE", 1)
+    assert run() == expected
+
+
+def _every_probe(xs, side, spec):
+    return bands._flags(xs, _extremal_brackets(xs, side, spec), side, spec)
+
+
+@pytest.mark.parametrize("spec", [
+    LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0), LatticeSpec.kagome(1.0, 3.0, 0.5),
+    LatticeSpec.kagome(2.0, 2.7, 2.0), LatticeSpec.equilateral(0.81, 1.0), LatticeSpec.triangular(1.62, 0.7),
+], ids=["golden", "kagome-ell0.5", "kagome-ell2", "equilateral", "triangular"])
+def test_certified_skip_equals_every_probe_evaluation(spec, monkeypatch):
+    # seeded blocks of the default grid, some with extra probes between grid
+    # probes, some starting at the scan's first probe X_FLOOR, two just above
+    # the size that takes a single call
+    rng = np.random.default_rng(31)
+    step = 2.0 * math.pi / (1000.0 * spec.d)
+    evaluated = []
+    inner = bands._extremal_brackets
+    monkeypatch.setattr(bands, "_extremal_brackets", lambda x, side, s: evaluated.append(np.size(x)) or inner(x, side, s))
+    blocks_ = [(0, 5000, True), (0, 17, False), (0, 16, False)]
+    for _ in range(40):
+        lo = int(np.exp(rng.uniform(0.0, math.log(2.5e6))))
+        blocks_.append((lo, lo + int(rng.integers(1, 6000)), bool(rng.integers(2))))
+    total = 0
+    for lo, hi, extra in blocks_:
+        xs = np.arange(lo + 1, hi + 1) * step
+        if lo == 0:
+            xs = np.concatenate([[bands.X_FLOOR], xs])
+        if extra:
+            xs = np.unique(np.concatenate([xs, rng.uniform(xs[0], xs[-1], 1 + xs.size // 50)]))
+        inb, bits = bands._strip_step(xs, "positive", spec)
+        ref_inb, ref_bits = _every_probe(xs, "positive", spec)
+        assert np.array_equal(inb, ref_inb) and np.array_equal(bits, ref_bits), (lo, hi, extra)
+        total += xs.size
+    # the skip evaluated well under half of the probes
+    assert sum(evaluated) < 0.5 * total
+    # a block of at most 2 SKIP_STRIDE probes, and every negative block, takes one call
+    for xs, side in ((np.arange(1, 2 * bands.SKIP_STRIDE + 1) * step, "positive"),
+                     (np.linspace(0.01, 9.0, 50000), "negative")):
+        evaluated.clear()
+        assert all(map(np.array_equal, bands._strip_step(xs, side, spec), _every_probe(xs, side, spec)))
+        assert evaluated == [xs.size]
+
+
+def test_certified_skip_halves_the_kernel_points(monkeypatch):
+    spec = LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0)
+    points = []
+    inner = bands._extremal_brackets
+    monkeypatch.setattr(bands, "_extremal_brackets", lambda x, side, s: points.append(np.size(x)) or inner(x, side, s))
+
+    def count():
+        points.clear()
+        value = finite_scan_probability(spec, 1e6).value
+        return sum(points), value
+
+    skipping = count()
+    monkeypatch.setattr(bands, "SKIP_STRIDE", 1)  # every probe, as without the skip
+    every = count()
+    assert skipping[1] == every[1]
+    assert skipping[0] <= 0.5 * every[0]
 
 
 def test_csv_rows_and_dict_shapes():

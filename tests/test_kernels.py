@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from qglattice import kernels
+from qglattice.bands import BRACKET_RTOL
 from qglattice.kernels import (
     GeometryError,
     LatticeSpec,
     Quasimomentum,
     asymptotic_coefficients,
     bracket,
+    bracket_curvature_bound,
     f_theta,
     g_theta,
     kagome_equilateral_F,
@@ -21,6 +24,7 @@ from qglattice.kernels import (
     lambda_pos,
     tri_G,
     tri_G_tilde,
+    tri_bracket_pos,
     xi,
 )
 from qglattice.secular import normalized_bracket
@@ -246,6 +250,112 @@ def test_gamma1_sign_change():
     g_lo, _ = asymptotic_coefficients(k0 - 1e-3, q, spec, "gamma")
     g_hi, _ = asymptotic_coefficients(k0 + 1e-3, q, spec, "gamma")
     assert g_lo * g_hi < 0.0
+
+
+# --------------------------------------------------------------------------
+# curvature bound of the extremal brackets
+
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+BOUND_CASES = [
+    make(ell) for ell in (0.5, 1.0, 2.0)
+    for make in (lambda ell: LatticeSpec.kagome(1.62 / GOLDEN, 1.62, ell),
+                 lambda ell: LatticeSpec.equilateral(0.81, ell),
+                 lambda ell: LatticeSpec.triangular(1.62, ell))
+]
+
+
+def _brackets(k, spec):
+    """The three extremal brackets straight from the kernels; k may be complex."""
+    if spec.is_kagome:
+        l1, l2, l3 = lambda_arrays(k, "positive", spec)
+        return np.array([l1 - 3.0 * l2, l1 + 1.5 * (l2 + SQRT3 * l3), l1 + 1.5 * (l2 - SQRT3 * l3)])
+    return np.array([tri_bracket_pos(k, 3.0, spec), tri_bracket_pos(k, -1.5, spec), tri_bracket_pos(k, -1.5, spec)])
+
+
+def _mp_brackets(k, spec):
+    """The extremal brackets in mpmath, transcribed from the kernel formulas."""
+    mpmath = pytest.importorskip("mpmath")
+    cos, sin = mpmath.cos, mpmath.sin
+    c, d, ell = (mpmath.mpf(v) for v in (spec.c, spec.d, spec.ell))
+    x = (k * ell) ** 2
+    if spec.kind == "triangular":
+        a = 3 * (x * x + 6 * x + 1) + (3 * x * x + 10 * x + 3) * (2 * cos(k * d) + cos(2 * k * d))
+        cc = 4 * (x - 1) ** 2 * cos(k * d / 2) ** 2
+        return a - 3 * cc, a + 1.5 * cc, a + 1.5 * cc
+    l1 = 2 * (x + 1) * (
+        4 * (x + 1) ** 2 * (cos(k * (c + d)) + cos(k * (c - 2 * d)) + 2 * cos(k * d) + cos(2 * k * d))
+        + (x * x + 14 * x + 1) * (2 * cos(k * d) + 1) * cos(k * (2 * c - d))
+        + (3 * x * x + 18 * x + 3) + (5 * x * x + 22 * x + 5) * (cos(k * (d - c)) + cos(k * c)))
+    l2 = 8 * (x + 1) * (x - 1) ** 2 * cos(k * (d - c) / 2) * cos(k * c / 2) * (cos(k * (2 * c - d) / 2) + 2 * cos(k * d / 2))
+    l3 = 16 * k * ell * (x - 1) ** 2 * sin(k * (d - c) / 2) * sin(k * c / 2) * sin(k * (d - 2 * c) / 2)
+    r = 1.5 * mpmath.sqrt(3)
+    return l1 - 3 * l2, l1 + 1.5 * l2 + r * l3, l1 + 1.5 * l2 - r * l3
+
+
+def _log_uniform_momenta(seed, n):
+    return np.exp(np.random.default_rng(seed).uniform(math.log(1e-6), math.log(1e5), n))
+
+
+def test_lambda1_evaluates_cos_kd_once_bit_for_bit():
+    rng = np.random.default_rng(15)
+    c, d, ell = 0.7, 2.3, 1.3
+    k = rng.uniform(0.0, 300.0, 20000)
+    kp = rng.uniform(0.0, 40.0, 20000)
+    x, xp = (k * ell) ** 2, (kp * ell) ** 2
+    pos = 2.0 * (x + 1.0) * (
+        4.0 * (x + 1.0) ** 2
+        * (np.cos(k * (c + d)) + np.cos(k * (c - 2.0 * d)) + 2.0 * np.cos(k * d) + np.cos(2.0 * k * d))
+        + (x * x + 14.0 * x + 1.0) * (2.0 * np.cos(k * d) + 1.0) * np.cos(k * (2.0 * c - d))
+        + (3.0 * x * x + 18.0 * x + 3.0)
+        + (5.0 * x * x + 22.0 * x + 5.0) * (np.cos(k * (d - c)) + np.cos(k * c))
+    )
+    neg = 2.0 * (1.0 - xp) * (
+        4.0 * (xp - 1.0) ** 2
+        * (np.cosh(kp * (c + d)) + np.cosh(kp * (c - 2.0 * d)) + 2.0 * np.cosh(kp * d) + np.cosh(2.0 * kp * d))
+        + (xp * xp - 14.0 * xp + 1.0) * (2.0 * np.cosh(kp * d) + 1.0) * np.cosh(kp * (2.0 * c - d))
+        + (3.0 * xp * xp - 18.0 * xp + 3.0)
+        + (5.0 * xp * xp - 22.0 * xp + 5.0) * (np.cosh(kp * (d - c)) + np.cosh(kp * c))
+    )
+    assert np.array_equal(kernels._lambda1_pos(k, c, d, ell), pos)
+    assert np.array_equal(kernels._lambda1_neg(kp, c, d, ell), neg)
+
+
+@pytest.mark.parametrize("spec", BOUND_CASES, ids=lambda s: f"{s.kind}-ell{s.ell:g}")
+def test_bracket_curvature_bound_holds(spec):
+    k = _log_uniform_momenta(21, 20000)
+    curvature, size = bracket_curvature_bound(k, "positive", spec)
+    # second derivative: central difference (h) of the complex-step first derivative (eps)
+    h, eps = 1e-4, 1e-20
+    first = lambda z: _brackets(z + 1j * eps, spec).imag / eps
+    second = (first(k + h) - first(k - h)) / (2.0 * h)
+    values = _brackets(k, spec)
+    for j in range(3):
+        # the difference is accurate to about 1e-7 of the bound; the bound is
+        # tight at k -> 0, where every term peaks together
+        assert (np.abs(second[j]) <= curvature[j] * (1.0 + 1e-6)).all()
+        assert (np.abs(values[j]) <= size[j]).all()
+    # nondecreasing in k, so the bound at x holds on all of [0, x]
+    grid = np.sort(k)
+    for m in (*bracket_curvature_bound(grid, "positive", spec)[0], *bracket_curvature_bound(grid, "positive", spec)[1]):
+        assert (np.diff(m) >= 0.0).all()
+    assert bracket_curvature_bound(k, "negative", spec) is None
+
+
+@pytest.mark.parametrize("spec", BOUND_CASES[:3], ids=lambda s: s.kind)
+def test_bracket_curvature_bound_against_mpmath(spec):
+    mpmath = pytest.importorskip("mpmath")
+    k = _log_uniform_momenta(22, 40)
+    curvature, size = bracket_curvature_bound(k, "positive", spec)
+    values = _brackets(k, spec)
+    with mpmath.workdps(40):
+        for i, x in enumerate(k):
+            exact = _mp_brackets(mpmath.mpf(x), spec)
+            for j in range(3):
+                second = mpmath.diff(lambda t: _mp_brackets(t, spec)[j], mpmath.mpf(x), 2)
+                assert abs(second) <= curvature[j][i]
+                # the float64 bracket stays well inside its rounding allowance
+                assert abs(values[j][i] - exact[j]) <= 1e-2 * BRACKET_RTOL * size[j][i]
 
 
 # --------------------------------------------------------------------------

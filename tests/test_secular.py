@@ -327,6 +327,34 @@ def test_oracle_many_matches_single_calls():
             oracle_in_spectrum_many(bad, spec)
 
 
+@pytest.mark.parametrize("side", ["positive", "negative"])
+def test_oracle_large_theta_grid_in_row_blocks(monkeypatch, side):
+    # a 1000-point grid holds 1e6 values per momentum, above the chunk budget,
+    # so its rows go in blocks with a running min and max; momenta just
+    # inside and outside band edges decide as with the whole grid at once
+    spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
+    bs = scan_bands(spec, "positive", 8.0) if side == "positive" else scan_negative_bands(spec)
+    edges = np.array([k for iv in bs.continuous for k in (iv.k_lo, iv.k_hi) if k > 0.0][:4])
+    ks = np.concatenate([edges * (1.0 - 1e-7), edges * (1.0 + 1e-7), edges * (1.0 - 1e-3), edges * (1.0 + 1e-3)])
+    blocked = oracle_in_spectrum_many(ks, spec, theta_grid_n=1000, side=side)
+    assert 0 < blocked.sum() < blocked.size
+    monkeypatch.setattr(secular, "_CHUNK_VALUES", 1000 ** 2 + 25 * 12 ** 2)  # one block per momentum
+    assert blocked.tolist() == oracle_in_spectrum_many(ks, spec, theta_grid_n=1000, side=side).tolist()
+
+
+def test_oracle_theta_grid_memory_stays_bounded():
+    tracemalloc = pytest.importorskip("tracemalloc")
+    spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
+    oracle_in_spectrum(1.3, spec, theta_grid_n=2000)  # builds the cached grid table
+    tracemalloc.start()
+    try:
+        oracle_in_spectrum(1.3, spec, theta_grid_n=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6  # the whole 2000 x 2000 grid would be 32 MB per array
+
+
 @pytest.mark.parametrize("d", [100.0, 200.0])
 @pytest.mark.parametrize("make", [LatticeSpec.triangular, lambda d: LatticeSpec.kagome(d / PHI, d)],
                          ids=["triangular", "kagome"])
