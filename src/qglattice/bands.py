@@ -7,16 +7,15 @@ a continuous band exactly when the first kernel sits inside the strip
 spanned by the three extremal combinations of the other two.
 
 Scanning walks a momentum grid, keeping per probe its in-band flag and the
-signs of the three extremal brackets.  Neighbouring probes whose flags or
-signs differ give edge events: the margin's zero where one probe is in band
-and the other is not, and the zero of each bracket that changes sign where
-both lie on the same side.  All events are bisected together, and one walk
-in momentum order opens and closes the bands.  Between two out-of-band
-probes the events recover a band narrower than the grid step (the first
-kernel crossing the whole strip), so bands that collapse exponentially with
-the cell size need no special resolution; between two in-band probes they
-cut out a gap narrower than the step wherever two or more brackets change
-sign and all share a sign in between.
+signs of the three extremal brackets.  Each bracket that changes sign
+between neighbouring probes gives an edge event, solved on its own by a
+vectorized Brent method to the bracket's float root, and one walk in
+momentum order opens and closes the bands.  Between two out-of-band probes
+the events recover a band narrower than the grid step (the first kernel
+crossing the whole strip), so bands that collapse exponentially with the
+cell size need no special resolution; between two in-band probes they cut
+out a gap narrower than the step wherever two or more brackets change sign
+and all share a sign in between.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import map_blocks
+from . import blocks
 from .kernels import (
     EXTREMAL_THETAS,
     GeometryError,
@@ -44,8 +43,8 @@ from .kernels import (
     bracket_curvature_bound,
 )
 
-#: Band edges are bisected until the bracket width drops below this,
-#: relative to max(1, |k|).
+#: Band runs closer than this, relative to max(1, |k|), are stitched into
+#: one band.  Each edge itself is solved to its bracket's float root.
 EDGE_RTOL = 1.0e-10
 
 #: Smallest momentum probed; bands verified to extend below are reported
@@ -455,28 +454,66 @@ def root(fn, x0, tol=1e-13, max_iter=50):
     return result[0] if single else result
 
 
-def _bisect_vec(fn, lo, hi, rtol=EDGE_RTOL, max_iter=90):
-    """Vectorized bisection of sign changes of fn between lo and hi arrays.
+def _brent_vec(fn, a, b, xtol=0.0, rtol=4.0 * np.finfo(float).eps, max_iter=100):
+    """Roots of many functions, each in its bracket [a, b] (float arrays), by
+    brentq's steps applied elementwise (so each element gives brentq's float).
 
-    Signs at lo and hi must differ elementwise.  Returns the point on the
-    hi-sign side of the crossing (both converge to the same root within
-    rtol).  Every element keeps halving until the slowest one has converged,
-    so the last bits of a zero depend on the batch it was bisected in.
+    fn(xs, idx) returns the values at xs of the functions of elements idx.
+    Each element stops on its own, so its root does not depend on the
+    others.  One call of fn takes about BLOCK_POINTS // 32 points at most:
+    the elements iterate together up to that count, and each one that stops
+    makes room for the next, which bounds the memory.  A bracket without a
+    sign change, a NaN value or an element not converged in max_iter steps
+    raises.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    f_lo = np.sign(fn(lo))
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        done = (mid <= np.minimum(lo, hi)) | (mid >= np.maximum(lo, hi))
-        gap = np.abs(hi - lo)
-        if np.all(done | (gap <= rtol * np.maximum(1.0, np.abs(mid)))):
-            break
-        f_mid = np.sign(fn(mid))
-        take_lo = f_mid == f_lo
-        lo = np.where(take_lo & ~done, mid, lo)
-        hi = np.where(~take_lo & ~done, mid, hi)
-    return hi
+    width = max(2, blocks.BLOCK_POINTS // 32)
+    out, idx, queue = b.copy(), np.empty(0, int), 0
+    # rows xpre, xcur, xblk, fpre, fcur, fblk, spre, scur and the steps taken;
+    # each pass starts by evaluating fcur at the new xcur
+    st = np.empty((9, 0))
+    while queue < a.size or idx.size:
+        new = np.arange(queue, min(a.size, queue + (width - idx.size) // 2))  # two points each
+        queue += new.size
+        xs, ids = (np.concatenate([st[1], a[new], b[new]]), np.concatenate([idx, new, new])) if new.size else (st[1], idx)
+        vals = np.asarray(fn(xs, ids), dtype=float)
+        if np.isnan(vals).any():
+            raise InternalConsistencyError(f"root solve: NaN function value at {xs[np.isnan(vals)][0]:.17g}")
+        st[4] = vals[:idx.size]
+        if new.size:
+            fa, fb = vals[idx.size:idx.size + new.size], vals[idx.size + new.size:]
+            out[new[fa == 0.0]] = a[new[fa == 0.0]]
+            live = (fa != 0.0) & (fb != 0.0)
+            if (np.signbit(fa) == np.signbit(fb))[live].any():
+                raise InternalConsistencyError("root solve: no sign change in a bracket")
+            fresh = np.zeros((9, np.count_nonzero(live)))
+            fresh[[0, 1, 3, 4]] = a[new[live]], b[new[live]], fa[live], fb[live]
+            idx, st = np.concatenate([idx, new[live]]), np.concatenate([st, fresh], axis=1)
+        xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, steps = st  # views of st's rows
+        flip = (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))  # fpre is never zero here
+        np.copyto(st[6:8], xcur - xpre, where=flip)
+        np.copyto(xblk, xpre, where=flip)
+        np.copyto(fblk, fpre, where=flip)
+        # keep the better estimate in xcur: xpre, xcur, xblk = xcur, xblk, xcur (and the values)
+        np.copyto(st[:6], st[[1, 2, 1, 4, 5, 4]], where=np.abs(fblk) < np.abs(fcur))
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        out[idx[done]] = xcur[done]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),  # secant
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))  # inverse quadratic
+            stry = np.where((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)), stry, np.inf)
+            take = 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
+        st[6], st[7] = np.where(take, scur, sbis), np.where(take, stry, sbis)
+        st[0], st[3] = xcur, fcur
+        st[1] += np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        st[8] += 1
+        idx, st = idx[~done], st[:, ~done]
+        if idx.size and st[8].max() >= max_iter:
+            raise InternalConsistencyError(f"root solve: a bracket not converged in {max_iter} steps")
+    return out
 
 
 def _edge_theta(xs, side, spec: LatticeSpec) -> list:
@@ -488,18 +525,13 @@ def _edge_theta(xs, side, spec: LatticeSpec) -> list:
 def _local_band(spec: LatticeSpec, side: str, lo: float, hi: float) -> SpectralInterval | None:
     """Span from the first to the last band point of [lo, hi], probed at 20001 points.
 
-    Edges inside the window are bisected; an edge at the window boundary is
-    the boundary itself.  None if no probe lies in a band.
+    Edges inside the window are solved as a scan's are (_band_runs); an edge
+    at the window boundary is the boundary itself.  None if no band is found.
     """
     probes = np.linspace(lo, hi, 20001)
-    idx = np.flatnonzero(_margin(probes, side, spec) <= 0.0)
-    if idx.size == 0:
-        return None
-    a, b = idx[0], idx[-1]
-    margin_fn = lambda xs: _margin(xs, side, spec)
-    k_lo = probes[a] if a == 0 else float(_bisect_vec(margin_fn, np.array([probes[a - 1]]), np.array([probes[a]]))[0])
-    k_hi = probes[b] if b == probes.size - 1 else float(_bisect_vec(margin_fn, np.array([probes[b + 1]]), np.array([probes[b]]))[0])
-    return SpectralInterval(k_lo, k_hi, side)
+    inb, bits = _flags(probes, _extremal_brackets(probes, side, spec), side, spec)
+    runs = _band_runs(probes, inb, bits, side, spec, float(probes[0]))
+    return SpectralInterval(runs[0][0], runs[-1][1], side) if runs else None
 
 
 def _negative_seeds(spec: LatticeSpec, kappa_max: float) -> list:
@@ -558,20 +590,43 @@ def kagome_collapse_roots(spec: LatticeSpec) -> tuple:
     return lo_root / spec.ell, hi_root / spec.ell
 
 
+def _band_runs(probes, inb, bits, side, spec: LatticeSpec, first: float) -> list:
+    """Bands of sorted probes with their in-band flags and sign bits, as
+    sorted (k_lo, k_hi, hi_trunc) tuples.
+
+    Each bracket that changes sign between neighbouring probes gives an edge
+    event, except a lone change between two in-band probes, which moves no
+    edge.  The triangular corner bracket, listed twice, gives one event that
+    toggles both its bits.  Every event is solved to its bracket's float root
+    (_brent_vec), and one walk in momentum order restarts from each pair's
+    left-probe sign bits and opens or closes a band wherever the state enters
+    or leaves the strip.  A band that holds the first probe starts at
+    `first`; hi_trunc marks one still in band at the last probe.
+    """
+    flips = bits[1:] ^ bits[:-1]
+    flips[inb[:-1] & inb[1:] & ((flips & (flips - 1)) == 0)] = 0
+    toggles = np.array([1, 2, 4] if spec.is_kagome else [1, 6], np.uint8)
+    pair, which = np.nonzero(flips[:, None] & toggles)
+    zeros = _brent_vec(lambda xs, i: np.choose(which[i], _extremal_brackets(xs, side, spec)),
+                       probes[pair], probes[pair + 1])
+    order = np.lexsort((which, zeros, pair))
+    pair, zeros = pair[order], zeros[order]
+    # the state after each event: its pair's left-probe bits with the pair's toggles so far
+    acc = np.bitwise_xor.accumulate(toggles[which[order]])
+    state = bits[pair] ^ acc ^ np.append(np.uint8(0), acc)[np.searchsorted(pair, pair)]
+    inside = np.append(inb[0], (state != 0) & (state != 7))
+    bounds = ([first] if inb[0] else []) + zeros[inside[1:] != inside[:-1]].tolist()
+    lo, hi = bounds[::2], bounds[1::2]
+    return list(zip(lo, hi + [float(probes[-1])], [False] * len(hi) + [True]))
+
+
 def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: float):
     """Continuous bands as sorted (k_lo, k_hi, hi_trunc) tuples.
 
-    The probes are evaluated in blocks (blocks.map_blocks), then one
-    bisection pass over every edge event and one walk in momentum order.
-    A pair of neighbouring probes with one in band and one out gives the
-    margin's zero, bisected towards the in-band probe.  A pair on the same
-    side gives the zero of each bracket that changes sign, bisected towards
-    the right-hand probe; a lone change between two in-band probes moves no
-    edge and is skipped.  The walk restarts from each pair's left-probe sign
-    bits and opens or closes a band wherever the state enters or leaves the
-    strip.  A band that holds the first probe starts at zero (X_FLOOR is
-    always probed, or else every probe lies below it); hi_trunc marks one
-    still in band at the last probe.
+    The probes are evaluated in blocks (blocks.map_blocks), X_FLOOR always
+    among them, and _band_runs solves the edge events of the probes kept and
+    walks them; a band that holds the first probe starts at zero.  Runs
+    closer than EDGE_RTOL max(1, k) are stitched together.
     """
     n = max(8, int(math.floor(x_max / resolution)))
     step = x_max / n
@@ -579,7 +634,7 @@ def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: flo
     if side == "negative":
         seeds = _negative_seeds(spec, x_max)
         extra.extend(seeds)
-        # geometric ladders around each seed keep edge-bisection brackets
+        # geometric ladders around each seed keep edge brackets
         # tight even when several exponentially narrow bands sit between
         # two grid probes
         rel = np.logspace(-12.0, -2.5, 20)
@@ -608,44 +663,8 @@ def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: flo
         keep[1:-1] = change[:-1] | change[1:]
         return xs[keep], inb[keep], bits[keep]
 
-    probes, inb, bits = (np.concatenate(a) for a in zip(*map_blocks(block, n)))
-
-    # edge events (pair index, selector): selector j < 3 is bracket j, 3 the margin
-    flips = bits[1:] ^ bits[:-1]
-    cross = inb[:-1] != inb[1:]
-    # x & (x - 1) != 0: two or more bits changed (all three between out-of-band probes)
-    same = ~cross & ((flips & (flips - 1)) != 0)
-    pairs = [np.flatnonzero(same & ((flips >> j) & 1 == 1)) for j in range(3)] + [np.flatnonzero(cross)]
-    pair = np.concatenate(pairs)
-    which = np.repeat(np.arange(4), [p.size for p in pairs])
-    toward_left = (which == 3) & inb[pair]
-
-    def event_fn(xs):
-        brackets = _extremal_brackets(xs, side, spec)
-        return np.choose(which, (*brackets, _margin_of(brackets)))
-
-    # _bisect_vec returns the hi side: the in-band probe's for a margin zero,
-    # the right-hand probe's for a bracket zero.  All events go into this one
-    # call, not one per block: the last bits of each zero depend on the batch.
-    zeros = _bisect_vec(event_fn, probes[pair + toward_left], probes[pair + ~toward_left])
-
-    runs, start, last = [], 0.0 if inb[0] else None, -1
-    order = np.lexsort((which, zeros, pair))
-    for p, j, z in zip(pair[order].tolist(), which[order].tolist(), zeros[order].tolist()):
-        if p != last:
-            state, last = int(bits[p]), p
-        if j == 3:
-            inside = not inb[p]
-        else:
-            state ^= 1 << j
-            inside = state not in (0, 7)
-        if inside and start is None:
-            start = z
-        elif not inside and start is not None:
-            runs.append((start, z, False))
-            start = None
-    if start is not None:
-        runs.append((start, float(probes[-1]), True))
+    probes, inb, bits = (np.concatenate(a) for a in zip(*blocks.map_blocks(block, n)))
+    runs = _band_runs(probes, inb, bits, side, spec, 0.0)
 
     # merge overlaps and stitch intervals separated by less than the edge tolerance
     merged = []
@@ -663,7 +682,7 @@ def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
                resolution: float | None = None) -> BandStructure:
     """Scan one side of the spectrum into a BandStructure.
 
-    Continuous bands come from the grid-plus-bisection scan; flat bands and
+    Continuous bands come from the grid-plus-Brent scan; flat bands and
     point-degenerate bands are attached as zero-length intervals.  Negative
     scans get analytic interior seed points so that exponentially narrow
     bands are never missed, and the structural band-count bounds (at most
@@ -700,7 +719,7 @@ def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
                 and any(abs(0.5 * (k_lo + k_hi) - p) < 1e-8 * max(1.0, p) for p in point_momenta))
     ]
 
-    # label every bisected edge (None at zero and at the scan cutoff) in one evaluation
+    # label every solved edge (None at zero and at the scan cutoff) in one evaluation
     edges = [(None if k_lo == 0.0 else k_lo, None if hi_trunc else k_hi)
              for k_lo, k_hi, hi_trunc in cleaned]
     labels = iter(_edge_theta([k for pair in edges for k in pair if k is not None], side, spec))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -511,6 +512,80 @@ def test_brentq_without_sign_change_raises():
         brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-15)
 
 
+def _sign_change_brackets(spec, side, x_max, rng, n):
+    """n seeded (a, b, j): extremal bracket j changes sign between neighbouring
+    probes a < b of a seeded grid on (0, x_max]."""
+    xs = np.sort(rng.uniform(1e-3, x_max, 4000))
+    found = [(xs[i], xs[i + 1], j) for j, b in enumerate(_extremal_brackets(xs, side, spec))
+             for i in np.flatnonzero(np.signbit(b[:-1]) != np.signbit(b[1:]))]
+    return [found[i] for i in rng.choice(len(found), min(n, len(found)), replace=False)]
+
+
+@pytest.mark.parametrize("xtol,rtol", [(0.0, 4.0 * np.finfo(float).eps), (1e-12, 1e-15)], ids=["scan", "loose"])
+def test_brent_vec_returns_brentq_floats(xtol, rtol):
+    rng = np.random.default_rng(17)
+    for spec, side, x_max in [(LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0), "positive", 400.0),
+                              (LatticeSpec.equilateral(0.81, 1.0), "positive", 100.0),
+                              (LatticeSpec.triangular(2.0, 0.7), "positive", 100.0),
+                              (LatticeSpec.kagome(1.0, 3.0, 1.0), "negative", 10.0),
+                              (LatticeSpec.triangular(2.0, 1.0), "negative", 10.0)]:
+        a, b, which = map(np.array, zip(*_sign_change_brackets(spec, side, x_max, rng, 60)))
+        one = lambda x, j: _extremal_brackets(np.array([x]), side, spec)[j][0]
+        ref = [brentq(lambda x: one(x, j), lo, hi, xtol, rtol) for lo, hi, j in zip(a, b, which)]
+        fn = lambda xs, i: np.choose(which[i], _extremal_brackets(xs, side, spec))
+        assert bands._brent_vec(fn, a, b, xtol, rtol).tolist() == ref, (spec, side)
+        assert bands._brent_vec(fn, a[:1], b[:1], xtol, rtol).tolist() == ref[:1]
+    # the collapse function of seeded kagome lattices, on both of its brackets
+    ratios = rng.uniform(0.05, 40.0, 50)
+    for lo, hi in ((1e-12, 1.0), (1.0, 64.0)):
+        ref = [brentq(lambda t: float(bands._collapse_in_units(t, r)), lo, hi, xtol, rtol) for r in ratios]
+        got = bands._brent_vec(lambda ts, i: bands._collapse_in_units(ts, ratios[i]),
+                               np.full(50, lo), np.full(50, hi), xtol, rtol)
+        assert got.tolist() == ref
+
+
+def test_event_solve_does_not_depend_on_its_batch(monkeypatch):
+    # a seeded subset of a K = 1e6 scan's edge events, solved on its own or
+    # with fewer events iterating together, gives the same floats
+    spec = LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0)
+    calls = []
+    inner = bands._brent_vec
+    monkeypatch.setattr(bands, "_brent_vec", lambda fn, a, b: calls.append((fn, a, b)) or inner(fn, a, b))
+    finite_scan_probability(spec, 1e6)
+    (fn, a, b), = calls
+    assert a.size > 1000
+    every = inner(fn, a, b)
+    sub = np.sort(np.random.default_rng(5).choice(a.size, 300, replace=False))
+    assert inner(lambda xs, i: fn(xs, sub[i]), a[sub], b[sub]).tolist() == every[sub].tolist()
+    monkeypatch.setattr(blocks, "BLOCK_POINTS", 997)  # 31 points per call instead of 2048
+    assert inner(fn, a, b).tolist() == every.tolist()
+
+
+@pytest.mark.parametrize("spec", [
+    LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0), LatticeSpec.kagome(1.0, 3.0, 0.5),
+    LatticeSpec.equilateral(0.81, 1.0), LatticeSpec.triangular(1.62, 0.7),
+], ids=["golden", "kagome-ell0.5", "equilateral", "triangular"])
+def test_scan_edges_sit_at_their_bracket_float_root(spec):
+    # each edge's labelled bracket is exactly zero at a float within
+    # 4 eps |x| of the edge x (Brent's stopping width, 4 to 8 ulp), or changes
+    # sign between two neighbouring such floats
+    for bs in (scan_bands(spec, "positive", 300.0), scan_negative_bands(spec)):
+        edges = [(iv.k_lo, iv.edge_theta_lo) for iv in bs.continuous if iv.edge_theta_lo is not None]
+        edges += [(iv.k_hi, iv.edge_theta_hi) for iv in bs.continuous if iv.edge_theta_hi is not None]
+        assert len(edges) >= 3
+        x = np.array([k for k, _ in edges])
+        j = np.array([EXTREMAL_THETAS.index(tuple(theta)) for _, theta in edges])
+        ys = [x]
+        for _ in range(8):
+            ys = [np.nextafter(ys[0], -np.inf), *ys, np.nextafter(ys[-1], np.inf)]
+        ys = np.array(ys)
+        values = np.array([np.choose(j, _extremal_brackets(y, bs.side, spec)) for y in ys])
+        near = np.abs(ys - x) <= 4.0 * np.finfo(float).eps * x
+        change = (np.signbit(values[1:]) != np.signbit(values[:-1])) & near[1:] & near[:-1]
+        ok = ((values == 0.0) & near).any(axis=0) | change.any(axis=0)
+        assert ok.all(), (bs.side, x[~ok])
+
+
 def test_newton_root_converges_or_returns_none():
     x = root(lambda v: [v[0] ** 2 - 2.0, v[0] * v[1] - 3.0], (1.0, 1.0))
     assert list(x) == pytest.approx([math.sqrt(2.0), 3.0 / math.sqrt(2.0)], rel=1e-15)
@@ -707,6 +782,50 @@ def test_certified_skip_halves_the_kernel_points(monkeypatch):
     every = count()
     assert skipping[1] == every[1]
     assert skipping[0] <= 0.5 * every[0]
+
+
+@pytest.mark.parametrize("spec", [
+    LatticeSpec.kagome(1.0, 3.0, 1.0), LatticeSpec.triangular(2.0, 1.0), LatticeSpec.equilateral(1.0, 1.0),
+], ids=["kagome", "triangular", "equilateral"])
+def test_negative_scan_makes_few_kernel_calls(spec, monkeypatch):
+    # one call for the probes, one for the ends of every edge bracket, one per
+    # Brent step of the slowest edge and one for the edge labels (28-29 calls
+    # when every edge was bisected 26 times)
+    calls = []
+    inner = bands._extremal_brackets
+    monkeypatch.setattr(bands, "_extremal_brackets", lambda x, side, s: calls.append(np.size(x)) or inner(x, side, s))
+    scan_negative_bands(spec)
+    assert len(calls) <= 12
+
+
+def test_edge_refinement_stays_cheap(monkeypatch):
+    # every kernel point of a K = 1e6 scan: 96 504 when every edge was
+    # bisected to EDGE_RTOL in lock step
+    spec = LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0)
+    points = []
+    inner = bands._extremal_brackets
+    monkeypatch.setattr(bands, "_extremal_brackets", lambda x, side, s: points.append(np.size(x)) or inner(x, side, s))
+    finite_scan_probability(spec, 1e6)
+    assert sum(points) <= 0.8 * 96_504
+
+
+def test_edge_refinement_memory_stays_small(monkeypatch):
+    # the K = 1e8 scan's 22.6 k edge events take 7 MB when they all iterate together
+    spec = LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0)
+    peaks = []
+    inner = bands._brent_vec
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return inner(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(bands, "_brent_vec", traced)
+    finite_scan_probability(spec, 1e8)
+    assert len(peaks) == 1 and peaks[0] <= 2e6
 
 
 def test_csv_rows_and_dict_shapes():
