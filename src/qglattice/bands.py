@@ -43,9 +43,16 @@ from .kernels import (
     bracket_curvature_bound,
 )
 
-#: Band runs closer than this, relative to max(1, |k|), are stitched into
-#: one band.  Each edge itself is solved to its bracket's float root.
+#: Band runs closer than this, relative to max(1, |k|), are stitched together.
 EDGE_RTOL = 1.0e-10
+
+#: Significant bits of a reported edge (9e-13 relative).  Lattices equal up
+#: to rounding (the swap pair c, d - c) put a float root a few ulp apart; the
+#: rounded edges agree unless it lies that close to a rounding boundary.
+EDGE_BITS = 40
+
+#: Relative stopping width (scipy's default rtol) and step limit of edge solves.
+BRENT_RTOL, BRENT_MAX_ITER = 4.0 * np.finfo(float).eps, 100
 
 #: Smallest momentum probed; bands verified to extend below are reported
 #: as starting at zero.  Margins closer to zero than this are dominated by
@@ -454,17 +461,15 @@ def root(fn, x0, tol=1e-13, max_iter=50):
     return result[0] if single else result
 
 
-def _brent_vec(fn, a, b, xtol=0.0, rtol=4.0 * np.finfo(float).eps, max_iter=100):
+def _brent_vec(fn, a, b):
     """Roots of many functions, each in its bracket [a, b] (float arrays), by
-    brentq's steps applied elementwise (so each element gives brentq's float).
+    brentq's steps applied elementwise: element i gives brentq(f_i, a[i],
+    b[i], 0, BRENT_RTOL, BRENT_MAX_ITER), whatever the others are.
 
     fn(xs, idx) returns the values at xs of the functions of elements idx.
-    Each element stops on its own, so its root does not depend on the
-    others.  One call of fn takes about BLOCK_POINTS // 32 points at most:
-    the elements iterate together up to that count, and each one that stops
-    makes room for the next, which bounds the memory.  A bracket without a
-    sign change, a NaN value or an element not converged in max_iter steps
-    raises.
+    One call takes at most BLOCK_POINTS // 32 points, which bounds the
+    memory; each element that stops makes room for a queued one.  A bracket
+    without a sign change, a NaN value or no convergence raises.
     """
     width = max(2, blocks.BLOCK_POINTS // 32)
     out, idx, queue = b.copy(), np.empty(0, int), 0
@@ -474,20 +479,19 @@ def _brent_vec(fn, a, b, xtol=0.0, rtol=4.0 * np.finfo(float).eps, max_iter=100)
     while queue < a.size or idx.size:
         new = np.arange(queue, min(a.size, queue + (width - idx.size) // 2))  # two points each
         queue += new.size
-        xs, ids = (np.concatenate([st[1], a[new], b[new]]), np.concatenate([idx, new, new])) if new.size else (st[1], idx)
-        vals = np.asarray(fn(xs, ids), dtype=float)
+        xs = np.concatenate([st[1], a[new], b[new]])
+        vals = np.asarray(fn(xs, np.concatenate([idx, new, new])), dtype=float)
         if np.isnan(vals).any():
             raise InternalConsistencyError(f"root solve: NaN function value at {xs[np.isnan(vals)][0]:.17g}")
         st[4] = vals[:idx.size]
-        if new.size:
-            fa, fb = vals[idx.size:idx.size + new.size], vals[idx.size + new.size:]
-            out[new[fa == 0.0]] = a[new[fa == 0.0]]
-            live = (fa != 0.0) & (fb != 0.0)
-            if (np.signbit(fa) == np.signbit(fb))[live].any():
-                raise InternalConsistencyError("root solve: no sign change in a bracket")
-            fresh = np.zeros((9, np.count_nonzero(live)))
-            fresh[[0, 1, 3, 4]] = a[new[live]], b[new[live]], fa[live], fb[live]
-            idx, st = np.concatenate([idx, new[live]]), np.concatenate([st, fresh], axis=1)
+        fa, fb = vals[idx.size:idx.size + new.size], vals[idx.size + new.size:]
+        out[new[fa == 0.0]] = a[new[fa == 0.0]]
+        live = (fa != 0.0) & (fb != 0.0)
+        if (np.signbit(fa) == np.signbit(fb))[live].any():
+            raise InternalConsistencyError("root solve: no sign change in a bracket")
+        fresh = np.zeros((9, np.count_nonzero(live)))
+        fresh[[0, 1, 3, 4]] = a[new[live]], b[new[live]], fa[live], fb[live]
+        idx, st = np.concatenate([idx, new[live]]), np.concatenate([st, fresh], axis=1)
         xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, steps = st  # views of st's rows
         flip = (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))  # fpre is never zero here
         np.copyto(st[6:8], xcur - xpre, where=flip)
@@ -495,7 +499,7 @@ def _brent_vec(fn, a, b, xtol=0.0, rtol=4.0 * np.finfo(float).eps, max_iter=100)
         np.copyto(fblk, fpre, where=flip)
         # keep the better estimate in xcur: xpre, xcur, xblk = xcur, xblk, xcur (and the values)
         np.copyto(st[:6], st[[1, 2, 1, 4, 5, 4]], where=np.abs(fblk) < np.abs(fcur))
-        delta = (xtol + rtol * np.abs(xcur)) / 2
+        delta = BRENT_RTOL / 2 * np.abs(xcur)
         sbis = (xblk - xcur) / 2
         done = (fcur == 0.0) | (np.abs(sbis) < delta)
         out[idx[done]] = xcur[done]
@@ -511,8 +515,8 @@ def _brent_vec(fn, a, b, xtol=0.0, rtol=4.0 * np.finfo(float).eps, max_iter=100)
         st[1] += np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
         st[8] += 1
         idx, st = idx[~done], st[:, ~done]
-        if idx.size and st[8].max() >= max_iter:
-            raise InternalConsistencyError(f"root solve: a bracket not converged in {max_iter} steps")
+        if idx.size and st[8].max() >= BRENT_MAX_ITER:
+            raise InternalConsistencyError(f"root solve: a bracket not converged in {BRENT_MAX_ITER} steps")
     return out
 
 
@@ -595,13 +599,12 @@ def _band_runs(probes, inb, bits, side, spec: LatticeSpec, first: float) -> list
     sorted (k_lo, k_hi, hi_trunc) tuples.
 
     Each bracket that changes sign between neighbouring probes gives an edge
-    event, except a lone change between two in-band probes, which moves no
-    edge.  The triangular corner bracket, listed twice, gives one event that
-    toggles both its bits.  Every event is solved to its bracket's float root
-    (_brent_vec), and one walk in momentum order restarts from each pair's
-    left-probe sign bits and opens or closes a band wherever the state enters
-    or leaves the strip.  A band that holds the first probe starts at
-    `first`; hi_trunc marks one still in band at the last probe.
+    event (the triangular corner bracket, listed twice, one that toggles both
+    its bits), except a lone change between two in-band probes.  Each event
+    is solved (_brent_vec) and rounded to EDGE_BITS; a walk in momentum order
+    restarts from each pair's left-probe bits and opens or closes a band where
+    the state enters or leaves the strip.  A band holding the first probe
+    starts at `first`; hi_trunc marks one in band at the last probe.
     """
     flips = bits[1:] ^ bits[:-1]
     flips[inb[:-1] & inb[1:] & ((flips & (flips - 1)) == 0)] = 0
@@ -610,14 +613,22 @@ def _band_runs(probes, inb, bits, side, spec: LatticeSpec, first: float) -> list
     zeros = _brent_vec(lambda xs, i: np.choose(which[i], _extremal_brackets(xs, side, spec)),
                        probes[pair], probes[pair + 1])
     order = np.lexsort((which, zeros, pair))
-    pair, zeros = pair[order], zeros[order]
-    # the state after each event: its pair's left-probe bits with the pair's toggles so far
-    acc = np.bitwise_xor.accumulate(toggles[which[order]])
-    state = bits[pair] ^ acc ^ np.append(np.uint8(0), acc)[np.searchsorted(pair, pair)]
-    inside = np.append(inb[0], (state != 0) & (state != 7))
-    bounds = ([first] if inb[0] else []) + zeros[inside[1:] != inside[:-1]].tolist()
-    lo, hi = bounds[::2], bounds[1::2]
-    return list(zip(lo, hi + [float(probes[-1])], [False] * len(hi) + [True]))
+    mant, exp = np.frexp(zeros[order])
+    edges = np.ldexp(np.round(np.ldexp(mant, EDGE_BITS)), exp - EDGE_BITS)
+    runs, start, last = [], first if inb[0] else None, -1
+    for p, t, z in zip(pair[order].tolist(), toggles[which[order]].tolist(), edges.tolist()):
+        if p != last:
+            state, last = int(bits[p]), p
+        state ^= t
+        inside = state not in (0, 7)
+        if inside and start is None:
+            start = z
+        elif not inside and start is not None:
+            runs.append((start, z, False))
+            start = None
+    if start is not None:
+        runs.append((start, float(probes[-1]), True))
+    return runs
 
 
 def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: float):
