@@ -9,13 +9,13 @@ spanned by the three extremal combinations of the other two.
 Scanning walks a momentum grid, keeping per probe its in-band flag and the
 signs of the three extremal brackets.  Each bracket that changes sign
 between neighbouring probes gives an edge event, solved on its own by a
-vectorized Brent method to the bracket's float root, and one walk in
-momentum order opens and closes the bands.  Between two out-of-band probes
-the events recover a band narrower than the grid step (the first kernel
-crossing the whole strip), so bands that collapse exponentially with the
-cell size need no special resolution; between two in-band probes they cut
-out a gap narrower than the step wherever two or more brackets change sign
-and all share a sign in between.
+vectorized Brent method to the bracket's float root (rounded to EDGE_BITS),
+and one walk in momentum order opens and closes the bands.  Between two
+out-of-band probes the events recover a band narrower than the grid step
+(the first kernel crossing the whole strip), so bands that collapse
+exponentially with the cell size need no special resolution; between two
+in-band probes they cut out a gap narrower than the step wherever two or
+more brackets change sign and all share a sign in between.
 """
 
 from __future__ import annotations
