@@ -6,16 +6,16 @@ at the zone center and at theta1 = -theta2 = +-2*pi/3, so a momentum lies in
 a continuous band exactly when the first kernel sits inside the strip
 spanned by the three extremal combinations of the other two.
 
-Scanning walks a momentum grid, keeping per probe its in-band flag and the
-signs of the three extremal brackets.  Each bracket that changes sign
-between neighbouring probes gives an edge event, solved on its own by a
-vectorized Brent method to the bracket's float root (rounded to EDGE_BITS),
-and one walk in momentum order opens and closes the bands.  Between two
-out-of-band probes the events recover a band narrower than the grid step
-(the first kernel crossing the whole strip), so bands that collapse
-exponentially with the cell size need no special resolution; between two
-in-band probes they cut out a gap narrower than the step wherever two or
-more brackets change sign and all share a sign in between.
+Scanning walks a momentum grid, keeping per probe only the signs of the
+three extremal brackets (in band unless all three agree).  Each bracket
+that changes sign between neighbouring probes gives an edge event, solved
+on its own by a vectorized Brent method to the bracket's float root
+(rounded to EDGE_BITS), and one walk in momentum order opens and closes the
+bands.  Between two out-of-band probes the events recover a band narrower
+than the grid step (the first kernel crossing the whole strip), so bands
+that collapse exponentially with the cell size need no special resolution;
+between two in-band probes they cut out a gap narrower than the step
+wherever two or more brackets change sign and all share a sign in between.
 """
 
 from __future__ import annotations
@@ -127,7 +127,6 @@ class BandStructure:
     intervals: list
     scan_k_max: float
     resolution: float
-    edge_tolerance: float = EDGE_RTOL
 
     @property
     def continuous(self) -> list:
@@ -150,7 +149,7 @@ class BandStructure:
             "side": self.side,
             "scan_k_max": self.scan_k_max,
             "resolution": self.resolution,
-            "edge_tolerance": self.edge_tolerance,
+            "edge_tolerance": EDGE_RTOL,
             "intervals": [
                 {
                     "band_index": i,
@@ -206,11 +205,11 @@ def _margin(x, side, spec: LatticeSpec):
 
 
 def _flags(xs, brackets, side, spec: LatticeSpec):
-    """In-band flags of a probe array and its sign bits: bit j of each uint8
-    is set where extremal bracket j is positive.
+    """Sign bits of a probe array: bit j of each uint8 is set where extremal
+    bracket j is positive.
 
-    A non-finite bracket (an overflowing kernel) raises: its sign bits and
-    margin would say nothing about membership.
+    A non-finite bracket (an overflowing kernel) raises: its sign bits would
+    say nothing about membership.
     """
     bits = np.zeros(xs.shape, np.uint8)
     for j, b in enumerate(brackets):
@@ -220,11 +219,14 @@ def _flags(xs, brackets, side, spec: LatticeSpec):
                 f"{spec.kind} {side} scan: non-finite extremal bracket at momentum {xs[~finite][0]:.9g}"
             )
         bits |= (b > 0.0).view(np.uint8) << j
-    return _margin_of(brackets) <= 0.0, bits
+    return bits
 
 
 def _strip_step(xs, side, spec: LatticeSpec):
-    """`_flags` of a sorted probe array, evaluating only the probes near a sign change.
+    """Kept probes of a sorted probe array and their `_flags`, evaluating only
+    the probes near a sign change.  Kept are the two ends and the probes on
+    either side of a change of bits: the probes dropped between two kept
+    ones share their bits, so the kept sequence has the same edge events.
 
     Every SKIP_STRIDE-th probe and the last one are evaluated first.  The
     cell between two of them is certified when each bracket has the same
@@ -232,29 +234,35 @@ def _strip_step(xs, side, spec: LatticeSpec):
     M H^2 / 8 (M from kernels.bracket_curvature_bound, H the cell's width),
     plus BRACKET_RTOL times its error scale S.  No bracket then changes sign
     inside the cell, in exact or in float arithmetic, so its probes take
-    its left end's flag and bits.  The probes of the other cells are
-    evaluated in one further call.  Without a bound (the negative side),
-    or with at most 2 SKIP_STRIDE probes, every probe is evaluated at once.
+    its left end's bits.  The probes of the other cells are evaluated in
+    one further call.  Without a bound (the negative side), or with at most
+    2 SKIP_STRIDE probes, every probe is evaluated at once.
     """
     ends = np.append(np.arange(0, xs.size - 1, SKIP_STRIDE), xs.size - 1)
     bound = bracket_curvature_bound(xs[ends[1:]], side, spec) if xs.size > 2 * SKIP_STRIDE else None
     if bound is None:
-        return _flags(xs, _extremal_brackets(xs, side, spec), side, spec)
-    brackets = _extremal_brackets(xs[ends], side, spec)
-    inb, bits = _flags(xs[ends], brackets, side, spec)
-    chord = np.diff(xs[ends]) ** 2 / 8.0
-    certified = np.ones(ends.size - 1, bool)
-    for b, m, s in zip(brackets, *bound):
-        certified &= ((b[:-1] > 0.0) == (b[1:] > 0.0)) & (
-            np.minimum(np.abs(b[:-1]), np.abs(b[1:])) > m * chord + BRACKET_RTOL * s)
-    widths = np.diff(ends)
-    inb, bits = (np.append(np.repeat(a[:-1], widths), a[-1]) for a in (inb, bits))
-    todo = np.append(np.repeat(~certified, widths), False)
-    todo[ends] = False
-    todo = np.flatnonzero(todo)
-    if todo.size:
-        inb[todo], bits[todo] = _flags(xs[todo], _extremal_brackets(xs[todo], side, spec), side, spec)
-    return inb, bits
+        bits = _flags(xs, _extremal_brackets(xs, side, spec), side, spec)
+    else:
+        brackets = _extremal_brackets(xs[ends], side, spec)
+        bits = _flags(xs[ends], brackets, side, spec)
+        chord = np.diff(xs[ends]) ** 2 / 8.0
+        certified = np.ones(ends.size - 1, bool)
+        for b, m, s in zip(brackets, *bound):
+            certified &= ((b[:-1] > 0.0) == (b[1:] > 0.0)) & (
+                np.minimum(np.abs(b[:-1]), np.abs(b[1:])) > m * chord + BRACKET_RTOL * s)
+        widths = np.diff(ends)
+        bits = np.append(np.repeat(bits[:-1], widths), bits[-1])
+        todo = np.append(np.repeat(~certified, widths), False)
+        todo[ends] = False
+        todo = np.flatnonzero(todo)
+        if todo.size:
+            bits[todo] = _flags(xs[todo], _extremal_brackets(xs[todo], side, spec), side, spec)
+        # freed before the kept arrays are made, among which they raise the peak RSS
+        del brackets, bound, b, m, s, chord, certified, widths, todo
+    change = bits[1:] != bits[:-1]
+    keep = np.ones(xs.size, bool)
+    keep[1:-1] = change[:-1] | change[1:]
+    return xs[keep], bits[keep]
 
 
 def _require_positive(name, value) -> None:
@@ -527,14 +535,13 @@ def _edge_theta(xs, side, spec: LatticeSpec) -> list:
 
 
 def _local_band(spec: LatticeSpec, side: str, lo: float, hi: float) -> SpectralInterval | None:
-    """Span from the first to the last band point of [lo, hi], probed at 20001 points.
+    """Span from the first to the last band point of [lo, hi], probed at 20001
+    evenly spaced points (_strip_step: only those near a sign change evaluated).
 
     Edges inside the window are solved as a scan's are (_band_runs); an edge
     at the window boundary is the boundary itself.  None if no band is found.
     """
-    probes = np.linspace(lo, hi, 20001)
-    inb, bits = _flags(probes, _extremal_brackets(probes, side, spec), side, spec)
-    runs = _band_runs(probes, inb, bits, side, spec, float(probes[0]))
+    runs = _band_runs(*_strip_step(np.linspace(lo, hi, 20001), side, spec), side, spec, lo)
     return SpectralInterval(runs[0][0], runs[-1][1], side) if runs else None
 
 
@@ -594,8 +601,8 @@ def kagome_collapse_roots(spec: LatticeSpec) -> tuple:
     return lo_root / spec.ell, hi_root / spec.ell
 
 
-def _band_runs(probes, inb, bits, side, spec: LatticeSpec, first: float) -> list:
-    """Bands of sorted probes with their in-band flags and sign bits, as
+def _band_runs(probes, bits, side, spec: LatticeSpec, first: float) -> list:
+    """Bands of sorted probes with their sign bits (in band unless 0 or 7), as
     sorted (k_lo, k_hi, hi_trunc) tuples.
 
     Each bracket that changes sign between neighbouring probes gives an edge
@@ -603,11 +610,13 @@ def _band_runs(probes, inb, bits, side, spec: LatticeSpec, first: float) -> list
     its bits), except a lone change between two in-band probes.  Each event
     is solved (_brent_vec) and rounded to EDGE_BITS; a walk in momentum order
     restarts from each pair's left-probe bits and opens or closes a band where
-    the state enters or leaves the strip.  A band holding the first probe
-    starts at `first`; hi_trunc marks one in band at the last probe.
+    the state enters or leaves the strip; a band that opens within EDGE_RTOL
+    max(1, k) of the last close reopens the last band.  A band holding the
+    first probe starts at `first`; hi_trunc marks one in band at the last probe.
     """
     flips = bits[1:] ^ bits[:-1]
-    flips[inb[:-1] & inb[1:] & ((flips & (flips - 1)) == 0)] = 0
+    # a lone flip between two in-band probes (common bits not 0, joint bits not 7)
+    flips[((flips & (flips - 1)) == 0) & ((bits[1:] & bits[:-1]) != 0) & ((bits[1:] | bits[:-1]) != 7)] = 0
     toggles = np.array([1, 2, 4] if spec.is_kagome else [1, 6], np.uint8)
     pair, which = np.nonzero(flips[:, None] & toggles)
     zeros = _brent_vec(lambda xs, i: np.choose(which[i], _extremal_brackets(xs, side, spec)),
@@ -615,14 +624,14 @@ def _band_runs(probes, inb, bits, side, spec: LatticeSpec, first: float) -> list
     order = np.lexsort((which, zeros, pair))
     mant, exp = np.frexp(zeros[order])
     edges = np.ldexp(np.round(np.ldexp(mant, EDGE_BITS)), exp - EDGE_BITS)
-    runs, start, last = [], first if inb[0] else None, -1
+    runs, start, last = [], first if int(bits[0]) not in (0, 7) else None, -1
     for p, t, z in zip(pair[order].tolist(), toggles[which[order]].tolist(), edges.tolist()):
         if p != last:
             state, last = int(bits[p]), p
         state ^= t
         inside = state not in (0, 7)
         if inside and start is None:
-            start = z
+            start = runs.pop()[0] if runs and z <= runs[-1][1] + EDGE_RTOL * max(1.0, z) else z
         elif not inside and start is not None:
             runs.append((start, z, False))
             start = None
@@ -635,9 +644,9 @@ def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: flo
     """Continuous bands as sorted (k_lo, k_hi, hi_trunc) tuples.
 
     The probes are evaluated in blocks (blocks.map_blocks), X_FLOOR always
-    among them, and _band_runs solves the edge events of the probes kept and
-    walks them; a band that holds the first probe starts at zero.  Runs
-    closer than EDGE_RTOL max(1, k) are stitched together.
+    among them, and _band_runs solves the edge events of the probes each
+    block keeps (_strip_step) and walks them; a band that holds the first
+    probe starts at zero.
     """
     n = max(8, int(math.floor(x_max / resolution)))
     step = x_max / n
@@ -650,8 +659,7 @@ def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: flo
         # two grid probes
         rel = np.logspace(-12.0, -2.5, 20)
         for s in seeds:
-            ladder = np.concatenate([s * (1.0 - rel), s * (1.0 + rel)])
-            extra.extend(ladder[(ladder > 0.0) & (ladder <= x_max)])
+            extra.extend(np.concatenate([s * (1.0 - rel), s * (1.0 + rel)]))
     extra = np.unique(extra)
     flat_point = 1.0 / spec.ell if spec.kind == "equilateral_kagome" and side == "negative" else None
 
@@ -661,32 +669,14 @@ def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: flo
         e0 = 0 if lo == 0 else np.searchsorted(extra, (lo + 1) * step)
         e1 = extra.size if hi == n else np.searchsorted(extra, (hi + 1) * step)
         xs = np.unique(np.concatenate([np.arange(lo + 1, hi + 1) * step, extra[e0:e1]]))
-        xs = xs[(xs > 0.0) & (xs <= x_max)]
+        xs = xs[xs <= x_max]
         if flat_point is not None:
             # the isolated flat point is not part of any continuous band
             xs = xs[np.abs(xs - flat_point) > 1e-9 * flat_point]
-        inb, bits = _strip_step(xs, side, spec)
-        # keep the block's two ends and the probes on either side of a change
-        # of flag or sign bits: the probes dropped between two kept ones
-        # share their state, so the kept sequence has the same edge events
-        change = (inb[1:] != inb[:-1]) | (bits[1:] != bits[:-1])
-        keep = np.ones(xs.size, bool)
-        keep[1:-1] = change[:-1] | change[1:]
-        return xs[keep], inb[keep], bits[keep]
+        return _strip_step(xs, side, spec)
 
-    probes, inb, bits = (np.concatenate(a) for a in zip(*blocks.map_blocks(block, n)))
-    runs = _band_runs(probes, inb, bits, side, spec, 0.0)
-
-    # merge overlaps and stitch intervals separated by less than the edge tolerance
-    merged = []
-    for k_lo, k_hi, hi_trunc in runs:
-        if merged and k_lo <= merged[-1][1] + EDGE_RTOL * max(1.0, k_lo):
-            prev = merged[-1]
-            if k_hi > prev[1]:
-                merged[-1] = (prev[0], k_hi, hi_trunc)
-        else:
-            merged.append((k_lo, k_hi, hi_trunc))
-    return merged
+    probes, bits = (np.concatenate(a) for a in zip(*blocks.map_blocks(block, n)))
+    return _band_runs(probes, bits, side, spec, 0.0)
 
 
 def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
@@ -706,7 +696,8 @@ def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
     _require_positive("resolution", resolution)
     if k_max / resolution > MAX_PROBES:
         raise ValueError(f"k_max / resolution = {k_max / resolution:.3g} probes, the limit is {MAX_PROBES:.0e}")
-    if resolution > math.pi / (20.0 * spec.d):
+    # negative bands are kept by their seeds, not by the grid step
+    if side == "positive" and resolution > math.pi / (20.0 * spec.d):
         warnings.warn(
             f"resolution {resolution:g} is coarser than pi/(20 d); narrow bands may degrade",
             stacklevel=2,

@@ -79,8 +79,6 @@ class LatticeSpec:
 
     @classmethod
     def kagome(cls, c, d, ell=1.0):
-        if d == 2.0 * c:
-            return cls("equilateral_kagome", c, d, ell)
         return cls("kagome", c, d, ell)
 
     @classmethod

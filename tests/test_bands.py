@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from qglattice.bands import (
     scan_negative_bands,
     spectral_threshold,
 )
-from qglattice.asymptotics import equilateral_narrow_band, triangular_narrow_band
+from qglattice.asymptotics import equilateral_narrow_band, measure_narrow_pair, triangular_narrow_band
 from qglattice.probability import finite_scan_probability
 from qglattice.kernels import (
     EXTREMAL_THETAS,
@@ -199,6 +200,14 @@ def test_coarse_resolution_warns():
     spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
     with pytest.warns(UserWarning, match="resolution"):
         scan_bands(spec, "positive", 5.0, resolution=1.0)
+
+
+def test_coarse_resolution_does_not_warn_on_the_negative_side():
+    # the seeds, not the grid step, keep the negative bands
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        bs = scan_bands(LatticeSpec.kagome(1.0, 100.0, 1.0), "negative", 3.0, resolution=0.002)
+    assert len(bs.continuous) == 3
 
 
 # --------------------------------------------------------------------------
@@ -735,7 +744,11 @@ def test_scan_is_block_invariant(monkeypatch, threads):
 
 
 def _every_probe(xs, side, spec):
-    return bands._flags(xs, _extremal_brackets(xs, side, spec), side, spec)
+    # every probe evaluated; kept are the two ends and both probes of each change of bits
+    bits = bands._flags(xs, _extremal_brackets(xs, side, spec), side, spec)
+    cut = np.flatnonzero(bits[1:] != bits[:-1])
+    keep = np.unique(np.concatenate([[0, xs.size - 1], cut, cut + 1]))
+    return xs[keep], bits[keep]
 
 
 @pytest.mark.parametrize("spec", [
@@ -762,9 +775,9 @@ def test_certified_skip_equals_every_probe_evaluation(spec, monkeypatch):
             xs = np.concatenate([[bands.X_FLOOR], xs])
         if extra:
             xs = np.unique(np.concatenate([xs, rng.uniform(xs[0], xs[-1], 1 + xs.size // 50)]))
-        inb, bits = bands._strip_step(xs, "positive", spec)
-        ref_inb, ref_bits = _every_probe(xs, "positive", spec)
-        assert np.array_equal(inb, ref_inb) and np.array_equal(bits, ref_bits), (lo, hi, extra)
+        kept, bits = bands._strip_step(xs, "positive", spec)
+        ref_kept, ref_bits = _every_probe(xs, "positive", spec)
+        assert np.array_equal(kept, ref_kept) and np.array_equal(bits, ref_bits), (lo, hi, extra)
         total += xs.size
     # the skip evaluated well under half of the probes
     assert sum(evaluated) < 0.5 * total
@@ -792,6 +805,39 @@ def test_certified_skip_halves_the_kernel_points(monkeypatch):
     every = count()
     assert skipping[1] == every[1]
     assert skipping[0] <= 0.5 * every[0]
+
+
+def test_narrow_pair_windows_take_the_certified_skip(monkeypatch):
+    # the four windows evaluated all their 4 x 20 001 probes (80 058 kernel
+    # points with the edge solves) before they went through _strip_step
+    specs = [LatticeSpec.equilateral(0.81, 1.0), LatticeSpec.triangular(2.0, 1.0)]
+    points = []
+    inner = bands._extremal_brackets
+    monkeypatch.setattr(bands, "_extremal_brackets", lambda x, side, s: points.append(np.size(x)) or inner(x, side, s))
+    skipping = [measure_narrow_pair(spec, 50) for spec in specs]
+    assert sum(points) <= 20_000
+    monkeypatch.setattr(bands, "SKIP_STRIDE", 1)  # every probe, as without the skip
+    assert [measure_narrow_pair(spec, 50) for spec in specs] == skipping
+
+
+def test_sign_bits_agree_with_the_margin_at_every_kept_probe(monkeypatch):
+    # a probe is in band unless all three brackets share a sign; the strip
+    # margin says the same unless the largest bracket is exactly zero
+    rng = np.random.default_rng(47)
+    kept = []
+    inner = bands._band_runs
+    monkeypatch.setattr(bands, "_band_runs", lambda probes, bits, side, spec, first: (
+        kept.append((probes, bits, side, spec)) or inner(probes, bits, side, spec, first)))
+    for _ in range(6):
+        ell = float(rng.uniform(0.3, 3.0))
+        d = float(rng.uniform(0.5, 4.0))
+        for spec in (LatticeSpec.kagome(float(rng.uniform(0.1, 0.9)) * d, d, ell),
+                     LatticeSpec.equilateral(0.5 * d, ell), LatticeSpec.triangular(d, ell)):
+            scan_bands(spec, "positive", 100.0)
+            scan_negative_bands(spec)
+    assert len(kept) == 36
+    for probes, bits, side, spec in kept:
+        assert np.array_equal((bits != 0) & (bits != 7), _margin(probes, side, spec) <= 0.0), (spec, side)
 
 
 @pytest.mark.parametrize("spec", [
