@@ -234,20 +234,26 @@ def _strip_step(xs, side, spec: LatticeSpec):
     M H^2 / 8 (M from kernels.bracket_curvature_bound, H the cell's width),
     plus BRACKET_RTOL times its error scale S.  No bracket then changes sign
     inside the cell, in exact or in float arithmetic, so its probes take
-    its left end's bits.  The probes of the other cells are evaluated in
-    one further call.  Without a bound (the negative side), or with at most
-    2 SKIP_STRIDE probes, every probe is evaluated at once.
+    its left end's bits.  M and S are polynomials with nonnegative
+    coefficients, so they do not decrease in x: one evaluation at the right
+    end of each run of SKIP_STRIDE cells serves the whole run.  The probes
+    of the other cells are evaluated in one further call.  Without a bound
+    (the negative side), or with at most 2 SKIP_STRIDE probes, every probe
+    is evaluated at once.
     """
     ends = np.append(np.arange(0, xs.size - 1, SKIP_STRIDE), xs.size - 1)
-    bound = bracket_curvature_bound(xs[ends[1:]], side, spec) if xs.size > 2 * SKIP_STRIDE else None
+    cells = ends.size - 1
+    # the right end of each run of SKIP_STRIDE cells
+    tops = ends[np.minimum(np.arange(SKIP_STRIDE, cells + SKIP_STRIDE, SKIP_STRIDE), cells)]
+    bound = bracket_curvature_bound(xs[tops], side, spec) if xs.size > 2 * SKIP_STRIDE else None
     if bound is None:
         bits = _flags(xs, _extremal_brackets(xs, side, spec), side, spec)
     else:
         brackets = _extremal_brackets(xs[ends], side, spec)
         bits = _flags(xs[ends], brackets, side, spec)
         chord = np.diff(xs[ends]) ** 2 / 8.0
-        certified = np.ones(ends.size - 1, bool)
-        for b, m, s in zip(brackets, *bound):
+        certified = np.ones(cells, bool)
+        for b, m, s in zip(brackets, *np.repeat(bound, SKIP_STRIDE, axis=-1)[..., :cells]):
             certified &= ((b[:-1] > 0.0) == (b[1:] > 0.0)) & (
                 np.minimum(np.abs(b[:-1]), np.abs(b[1:])) > m * chord + BRACKET_RTOL * s)
         widths = np.diff(ends)
@@ -315,6 +321,36 @@ def _limit_membership(ks, side, spec):
     return (_margin(ks - eps, side, spec) <= 0.0) | (_margin(ks + eps, side, spec) <= 0.0)
 
 
+def _flat_momenta(spec: LatticeSpec, k_max: float) -> list:
+    """Momenta of the positive-side flat bands up to k_max (flat_bands), as
+    (family, ascending momenta) pairs."""
+    top = k_max * (1.0 + 1e-15)
+
+    def series(k_of_n, n_max):
+        # k_of_n increases with n and exceeds top at n_max
+        ks = k_of_n(np.arange(1, n_max + 1))
+        return ks[ks <= top]
+
+    multiples = lambda step: (lambda n: n * step, int(top / step) + 2)
+    if spec.kind == "kagome":
+        out = [(family, series(*multiples(2.0 * math.pi / L)))
+               for family, L in (("b_family", spec.b), ("c_family", spec.c), ("d_family", spec.d))]
+        lengths = (spec.c, spec.b, spec.d)
+    elif spec.kind == "equilateral_kagome":
+        star = lambda n: (6 * n - 3 + np.where(n % 2 == 1, 1, -1)) * math.pi / (6.0 * spec.c)
+        out = [("equilateral_merged", series(*multiples(math.pi / spec.c))),
+               ("david_star", series(star, int(top * spec.c / math.pi) + 2))]
+        lengths = (spec.d,)
+    elif spec.kind == "triangular":
+        out = [("d_family", series(*multiples(2.0 * math.pi / spec.d)))]
+        lengths = (spec.d,)
+    else:  # pragma: no cover
+        raise GeometryError(f"unknown lattice kind {spec.kind!r}")
+    if 1.0 / spec.ell <= k_max and any(_is_degenerate_length(L, spec.ell) for L in lengths):
+        out.append(("degenerate_point", np.array([1.0 / spec.ell])))
+    return out
+
+
 def flat_bands(spec: LatticeSpec, k_max: float) -> list:
     """All positive-side flat bands with momentum <= k_max.
 
@@ -325,40 +361,20 @@ def flat_bands(spec: LatticeSpec, k_max: float) -> list:
     k = 1/ell whenever 2 cos(L/ell) + 1 = 0 for one of the lengths.
     """
     _require_positive("k_max", k_max)
-    ell = spec.ell
     out = []
-
-    def series(family, k_of_n, member=None):
-        ks = []
-        while k_of_n(len(ks) + 1) <= k_max * (1.0 + 1e-15):
-            ks.append(k_of_n(len(ks) + 1))
-        ks = np.array(ks)
-        embedded = member(ks) if member and ks.size else np.zeros(ks.size, dtype=bool)
+    for family, ks in _flat_momenta(spec, k_max):
+        if family == "degenerate_point":
+            k_point = float(ks[0])
+            out.append(FlatBand(k=k_point, family=family, multiplicity_note="k=1/ell",
+                                embedded=bool(_limit_membership(k_point, "positive", spec))))
+            continue
+        embedded = np.zeros(ks.size, dtype=bool)
+        if ks.size and family == "david_star":
+            embedded = _limit_membership(ks, "positive", spec)
+        elif ks.size and spec.kind == "kagome":
+            embedded = _margin(ks, "positive", spec) <= 0.0
         out.extend(FlatBand(k=float(k), family=family, multiplicity_note=f"n={n}", embedded=bool(e))
                    for n, (k, e) in enumerate(zip(ks, embedded), start=1))
-
-    multiples = lambda step_k: lambda n: n * step_k
-    if spec.kind == "kagome":
-        member = lambda ks: _margin(ks, "positive", spec) <= 0.0
-        series("b_family", multiples(2.0 * math.pi / spec.b), member)
-        series("c_family", multiples(2.0 * math.pi / spec.c), member)
-        series("d_family", multiples(2.0 * math.pi / spec.d), member)
-        degenerate = any(_is_degenerate_length(L, ell) for L in (spec.c, spec.b, spec.d))
-    elif spec.kind == "equilateral_kagome":
-        series("equilateral_merged", multiples(math.pi / spec.c))
-        series("david_star", lambda n: ((6 * n - 3) + (-1) ** (n + 1)) * math.pi / (6.0 * spec.c),
-               lambda ks: _limit_membership(ks, "positive", spec))
-        degenerate = _is_degenerate_length(spec.d, ell)
-    elif spec.kind == "triangular":
-        series("d_family", multiples(2.0 * math.pi / spec.d))
-        degenerate = _is_degenerate_length(spec.d, ell)
-    else:  # pragma: no cover
-        raise GeometryError(f"unknown lattice kind {spec.kind!r}")
-
-    k_point = 1.0 / ell
-    if degenerate and k_point <= k_max:
-        out.append(FlatBand(k=k_point, family="degenerate_point", multiplicity_note="k=1/ell",
-                            embedded=bool(_limit_membership(k_point, "positive", spec))))
     out.sort(key=lambda fb: (fb.k, fb.family))
     return out
 
@@ -480,58 +496,67 @@ def _brent_vec(fn, a, b):
     without a sign change, a NaN value or no convergence raises.
     """
     width = max(2, blocks.BLOCK_POINTS // 32)
-    out, idx, queue = b.copy(), np.empty(0, int), 0
-    # rows xpre, xcur, xblk, fpre, fcur, fblk, spre, scur and the steps taken;
-    # each pass starts by evaluating fcur at the new xcur
-    st = np.empty((9, 0))
-    while queue < a.size or idx.size:
-        new = np.arange(queue, min(a.size, queue + (width - idx.size) // 2))  # two points each
+    out, queue, rounds = b.copy(), 0, 0
+    # the live elements are the first m columns, in the order they entered:
+    # rows xpre, fpre, xcur, fcur, xblk, fblk, spre, scur, and ids[:m] their
+    # indices; each pass starts by evaluating fcur at the new xcur
+    st, ids, m = np.empty((8, width)), np.empty(width, int), 0
+    entered = np.empty(a.size, int)
+    while queue < a.size or m:
+        new = np.arange(queue, min(a.size, queue + (width - m) // 2))  # two points each
         queue += new.size
-        xs = np.concatenate([st[1], a[new], b[new]])
-        vals = np.asarray(fn(xs, np.concatenate([idx, new, new])), dtype=float)
+        xs = np.concatenate([st[2, :m], a[new], b[new]])
+        vals = np.asarray(fn(xs, np.concatenate([ids[:m], new, new])), dtype=float)
         if np.isnan(vals).any():
             raise InternalConsistencyError(f"root solve: NaN function value at {xs[np.isnan(vals)][0]:.17g}")
-        st[4] = vals[:idx.size]
-        fa, fb = vals[idx.size:idx.size + new.size], vals[idx.size + new.size:]
+        st[3, :m] = vals[:m]
+        fa, fb = vals[m:m + new.size], vals[m + new.size:]
         out[new[fa == 0.0]] = a[new[fa == 0.0]]
-        live = (fa != 0.0) & (fb != 0.0)
-        if (np.signbit(fa) == np.signbit(fb))[live].any():
+        enter = (fa != 0.0) & (fb != 0.0)
+        if (np.signbit(fa) == np.signbit(fb))[enter].any():
             raise InternalConsistencyError("root solve: no sign change in a bracket")
-        fresh = np.zeros((9, np.count_nonzero(live)))
-        fresh[[0, 1, 3, 4]] = a[new[live]], b[new[live]], fa[live], fb[live]
-        idx, st = np.concatenate([idx, new[live]]), np.concatenate([st, fresh], axis=1)
-        xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, steps = st  # views of st's rows
+        new = new[enter]
+        n = m + new.size
+        st[:4, m:n] = a[new], fa[enter], b[new], fb[enter]
+        ids[m:n] = new
+        entered[new] = rounds
+        state = st[:, :n]
+        xpre, fpre, xcur, fcur, xblk, fblk, spre, scur = state  # views of the rows
         flip = (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))  # fpre is never zero here
-        np.copyto(st[6:8], xcur - xpre, where=flip)
-        np.copyto(xblk, xpre, where=flip)
-        np.copyto(fblk, fpre, where=flip)
+        step = xcur - xpre
+        for row, value in ((xblk, xpre), (fblk, fpre), (spre, step), (scur, step)):
+            np.putmask(row, flip, value)
         # keep the better estimate in xcur: xpre, xcur, xblk = xcur, xblk, xcur (and the values)
-        np.copyto(st[:6], st[[1, 2, 1, 4, 5, 4]], where=np.abs(fblk) < np.abs(fcur))
+        swap = np.abs(fblk) < np.abs(fcur)
+        for pre, cur, blk in ((xpre, xcur, xblk), (fpre, fcur, fblk)):
+            np.putmask(pre, swap, cur)
+            np.putmask(cur, swap, blk)
+            np.putmask(blk, swap, pre)
         delta = BRENT_RTOL / 2 * np.abs(xcur)
         sbis = (xblk - xcur) / 2
         done = (fcur == 0.0) | (np.abs(sbis) < delta)
-        out[idx[done]] = xcur[done]
+        out[ids[:n][done]] = xcur[done]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dpre = (fpre - fcur) / (xpre - xcur)
+            # secant -fcur (xcur - xpre) / (fcur - fpre), with the signs taken out
+            dx, df = xpre - xcur, fpre - fcur
+            dpre = df / dx
             dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),  # secant
+            stry = np.where(xpre == xblk, fcur * dx / -df,
                             -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))  # inverse quadratic
-            stry = np.where((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)), stry, np.inf)
+            stry[(np.abs(spre) <= delta) | (np.abs(fcur) >= np.abs(fpre))] = np.inf
             take = 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
-        st[6], st[7] = np.where(take, scur, sbis), np.where(take, stry, sbis)
-        st[0], st[3] = xcur, fcur
-        st[1] += np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        st[8] += 1
-        idx, st = idx[~done], st[:, ~done]
-        if idx.size and st[8].max() >= BRENT_MAX_ITER:
+        spre[:] = np.where(take, scur, sbis)
+        scur[:] = np.where(take, stry, sbis)
+        state[:2] = state[2:4]  # xpre, fpre = xcur, fcur
+        xcur += np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        keep = ~done
+        m = n - np.count_nonzero(done)
+        st[:, :m], ids[:m] = state[:, keep], ids[:n][keep]
+        rounds += 1
+        # the first live element is the oldest
+        if m and rounds - entered[ids[0]] >= BRENT_MAX_ITER:
             raise InternalConsistencyError(f"root solve: a bracket not converged in {BRENT_MAX_ITER} steps")
     return out
-
-
-def _edge_theta(xs, side, spec: LatticeSpec) -> list:
-    """Extremal quasimomentum whose bracket vanishes at each band edge in xs."""
-    brackets = np.abs(np.array(_extremal_brackets(np.asarray(xs, dtype=float), side, spec)))
-    return [EXTREMAL_THETAS[i] for i in np.argmin(brackets, axis=0)]
 
 
 def _local_band(spec: LatticeSpec, side: str, lo: float, hi: float) -> SpectralInterval | None:
@@ -541,8 +566,8 @@ def _local_band(spec: LatticeSpec, side: str, lo: float, hi: float) -> SpectralI
     Edges inside the window are solved as a scan's are (_band_runs); an edge
     at the window boundary is the boundary itself.  None if no band is found.
     """
-    runs = _band_runs(*_strip_step(np.linspace(lo, hi, 20001), side, spec), side, spec, lo)
-    return SpectralInterval(runs[0][0], runs[-1][1], side) if runs else None
+    runs, _ = _band_runs(*_strip_step(np.linspace(lo, hi, 20001), side, spec), side, spec, lo)
+    return SpectralInterval(float(runs[0, 0]), float(runs[-1, 1]), side) if runs.size else None
 
 
 def _negative_seeds(spec: LatticeSpec, kappa_max: float) -> list:
@@ -601,9 +626,9 @@ def kagome_collapse_roots(spec: LatticeSpec) -> tuple:
     return lo_root / spec.ell, hi_root / spec.ell
 
 
-def _band_runs(probes, bits, side, spec: LatticeSpec, first: float) -> list:
-    """Bands of sorted probes with their sign bits (in band unless 0 or 7), as
-    sorted (k_lo, k_hi, hi_trunc) tuples.
+def _band_runs(probes, bits, side, spec: LatticeSpec, first: float) -> tuple:
+    """Bands of sorted probes with their sign bits (in band unless 0 or 7):
+    an array of sorted (k_lo, k_hi) rows, and hi_trunc.
 
     Each bracket that changes sign between neighbouring probes gives an edge
     event (the triangular corner bracket, listed twice, one that toggles both
@@ -612,7 +637,8 @@ def _band_runs(probes, bits, side, spec: LatticeSpec, first: float) -> list:
     restarts from each pair's left-probe bits and opens or closes a band where
     the state enters or leaves the strip; a band that opens within EDGE_RTOL
     max(1, k) of the last close reopens the last band.  A band holding the
-    first probe starts at `first`; hi_trunc marks one in band at the last probe.
+    first probe starts at `first`; hi_trunc is true when the last band holds
+    the last probe.
     """
     flips = bits[1:] ^ bits[:-1]
     # a lone flip between two in-band probes (common bits not 0, joint bits not 7)
@@ -625,23 +651,24 @@ def _band_runs(probes, bits, side, spec: LatticeSpec, first: float) -> list:
     mant, exp = np.frexp(zeros[order])
     edges = np.ldexp(np.round(np.ldexp(mant, EDGE_BITS)), exp - EDGE_BITS)
     runs, start, last = [], first if int(bits[0]) not in (0, 7) else None, -1
-    for p, t, z in zip(pair[order].tolist(), toggles[which[order]].tolist(), edges.tolist()):
+    pairs = pair[order]
+    for p, b, t, z in zip(pairs.tolist(), bits[pairs].tolist(), toggles[which[order]].tolist(), edges.tolist()):
         if p != last:
-            state, last = int(bits[p]), p
+            state, last = b, p
         state ^= t
         inside = state not in (0, 7)
         if inside and start is None:
             start = runs.pop()[0] if runs and z <= runs[-1][1] + EDGE_RTOL * max(1.0, z) else z
         elif not inside and start is not None:
-            runs.append((start, z, False))
+            runs.append((start, z))
             start = None
     if start is not None:
-        runs.append((start, float(probes[-1]), True))
-    return runs
+        runs.append((start, float(probes[-1])))
+    return np.array(runs, dtype=float).reshape(-1, 2), start is not None
 
 
 def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: float):
-    """Continuous bands as sorted (k_lo, k_hi, hi_trunc) tuples.
+    """Continuous bands as _band_runs returns them: (k_lo, k_hi) rows and hi_trunc.
 
     The probes are evaluated in blocks (blocks.map_blocks), X_FLOOR always
     among them, and _band_runs solves the edge events of the probes each
@@ -668,8 +695,12 @@ def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: flo
         # up to hi + 1 (and all those below the first or above the last)
         e0 = 0 if lo == 0 else np.searchsorted(extra, (lo + 1) * step)
         e1 = extra.size if hi == n else np.searchsorted(extra, (hi + 1) * step)
-        xs = np.unique(np.concatenate([np.arange(lo + 1, hi + 1) * step, extra[e0:e1]]))
-        xs = xs[xs <= x_max]
+        xs, more = np.arange(lo + 1, hi + 1) * step, extra[e0:e1]
+        # merged into the sorted grid, less those equal to a grid probe
+        at = np.searchsorted(xs, more)
+        new = more != xs[np.minimum(at, xs.size - 1)]
+        xs = np.insert(xs, at[new], more[new])
+        xs = xs[:np.searchsorted(xs, x_max, side="right")]
         if flat_point is not None:
             # the isolated flat point is not part of any continuous band
             xs = xs[np.abs(xs - flat_point) > 1e-9 * flat_point]
@@ -703,44 +734,50 @@ def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
             stacklevel=2,
         )
 
-    raw = _scan_continuous(spec, side, k_max, resolution)
+    runs, hi_trunc = _scan_continuous(spec, side, k_max, resolution)
 
+    # families by name, so that the stable sort below puts flat bands in (k, family) order
     if side == "negative":
-        flats = [fb for fb in negative_flat_bands(spec) if fb.k <= k_max]
-        point_momenta = [fb.k for fb in flats]
+        families = [(fb.family, np.array([fb.k])) for fb in negative_flat_bands(spec) if fb.k <= k_max]
     else:
-        flats = flat_bands(spec, k_max)
-        point_momenta = [fb.k for fb in flats if fb.family in ("david_star", "degenerate_point")]
+        families = sorted(_flat_momenta(spec, k_max), key=lambda fam: fam[0])
+    points = [ks for family, ks in families if side == "negative" or family in ("david_star", "degenerate_point")]
 
     # a strip crossing pinched to zero width where the bracket vanishes
     # identically in theta is an infinitely degenerate eigenvalue, reported
     # as a flat or point interval instead of a continuous band
-    cleaned = [
-        (k_lo, k_hi, hi_trunc) for k_lo, k_hi, hi_trunc in raw
-        if not (k_hi - k_lo < 1e-10 * max(1.0, k_hi)
-                and any(abs(0.5 * (k_lo + k_hi) - p) < 1e-8 * max(1.0, p) for p in point_momenta))
-    ]
-
-    # label every solved edge (None at zero and at the scan cutoff) in one evaluation
-    edges = [(None if k_lo == 0.0 else k_lo, None if hi_trunc else k_hi)
-             for k_lo, k_hi, hi_trunc in cleaned]
-    labels = iter(_edge_theta([k for pair in edges for k in pair if k is not None], side, spec))
-    intervals = [
-        SpectralInterval(iv[0], iv[1], side, "continuous", *(None if k is None else next(labels) for k in pair))
-        for iv, pair in zip(cleaned, edges)
-    ]
-
+    keep = np.ones(len(runs), bool)
+    if points:
+        points = np.concatenate(points)
+        for i in np.flatnonzero(runs[:, 1] - runs[:, 0] < 1e-10 * np.maximum(1.0, runs[:, 1])):
+            keep[i] = not (np.abs(0.5 * (runs[i, 0] + runs[i, 1]) - points) < 1e-8 * np.maximum(1.0, points)).any()
+    if not keep.all():
+        runs, hi_trunc = runs[keep], hi_trunc and keep[-1]
     if side == "negative":
         bound = 2 if spec.kind == "triangular" else 3
-        if len(intervals) > bound:
-            raise InternalConsistencyError(
-                f"{spec.kind} negative scan found {len(intervals)} bands, bound is {bound}"
-            )
-    for fb in flats:
-        btype = "degenerate_point" if fb.family == "degenerate_point" else "flat"
-        intervals.append(SpectralInterval(fb.k, fb.k, side, btype))
+        if len(runs) > bound:
+            raise InternalConsistencyError(f"{spec.kind} negative scan found {len(runs)} bands, bound is {bound}")
 
-    intervals.sort(key=lambda iv: (iv.k_lo, iv.k_hi))
+    # label every solved edge (None at zero and at the scan cutoff) in one
+    # evaluation: 0 for None, else 1 + the index of the bracket nearest zero
+    solved = runs != 0.0
+    if hi_trunc:
+        solved[-1, 1] = False
+    which = np.zeros(runs.shape, np.intp)
+    which[solved] = 1 + np.argmin(np.abs(np.array(_extremal_brackets(runs[solved], side, spec))), axis=0)
+    labels = (None, *EXTREMAL_THETAS)
+
+    flat_k = np.concatenate([ks for _, ks in families]) if families else np.empty(0)
+    band_type = ["continuous"] * len(runs)
+    for family, ks in families:
+        band_type += ["degenerate_point" if family == "degenerate_point" else "flat"] * ks.size
+    theta_lo = [labels[i] for i in which[:, 0].tolist()] + [None] * flat_k.size
+    theta_hi = [labels[i] for i in which[:, 1].tolist()] + [None] * flat_k.size
+    # one stable sort by (k_lo, k_hi): continuous bands first at equal keys
+    lo, hi = np.concatenate([runs[:, 0], flat_k]), np.concatenate([runs[:, 1], flat_k])
+    order = np.lexsort((hi, lo)).tolist()
+    lo, hi = lo.tolist(), hi.tolist()
+    intervals = [SpectralInterval(lo[i], hi[i], side, band_type[i], theta_lo[i], theta_hi[i]) for i in order]
     return BandStructure(spec=spec, side=side, intervals=intervals,
                          scan_k_max=k_max, resolution=resolution)
 

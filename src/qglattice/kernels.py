@@ -381,7 +381,8 @@ def _kernel_series(spec: LatticeSpec):
 
 @functools.lru_cache(maxsize=32)
 def _curvature_coefficients(spec: LatticeSpec):
-    """Descending coefficients of the majorants (M0, M+, M-) and (S0, S+, S-)."""
+    """Descending coefficients of the majorants M0, M+, M-, S0, S+, S-, one
+    row each, padded with leading zeros to a common length (read-only)."""
     kernels, weights = _kernel_series(spec)
     frequency = lambda p, q: abs(p * spec.c + q * spec.d) / 2.0
     w_max = max(frequency(*key) for series in kernels for key in series)
@@ -394,9 +395,14 @@ def _curvature_coefficients(spec: LatticeSpec):
             w, a = frequency(*key), np.abs(coeffs)
             m = _poly_add(m, _poly_der(_poly_der(a)), 2.0 * w * _poly_der(a), w * w * a)
         s = np.convolve(_poly_add(*(abs(wt) * v for wt, v in zip(row, values))), (1.0, w_max))
-        curvature.append(tuple(m[::-1].tolist()))
-        size.append(tuple(s[::-1].tolist()))
-    return tuple(curvature), tuple(size)
+        curvature.append(m[::-1])
+        size.append(s[::-1])
+    rows = curvature + size
+    out = np.zeros((len(rows), max(map(len, rows))))
+    for row, coeffs in zip(out, rows):
+        row[row.size - coeffs.size:] = coeffs
+    out.flags.writeable = False
+    return out
 
 
 def bracket_curvature_bound(x, side, spec: LatticeSpec):
@@ -409,13 +415,20 @@ def bracket_curvature_bound(x, side, spec: LatticeSpec):
     value majorants, weighted by the bracket, times 1 + w_max x, the growth of
     the rounding error of phases k w up to the largest frequency w_max; it
     bounds |B_j| too.  Both are polynomials in x with nonnegative
-    coefficients, built once per spec.  The negative side has no bound (None).
+    coefficients, built once per spec.  The result is one array of shape
+    (2, 3) + shape(x), evaluated by Horner's rule as np.polyval would (leading
+    zero coefficients leave it unchanged).  The negative side has no bound
+    (None).
     """
     _require_side(side)
     if side != "positive":
         return None
-    curvature, size = _curvature_coefficients(spec)
-    return tuple(np.polyval(m, x) for m in curvature), tuple(np.polyval(s, x) for s in size)
+    x = np.asarray(x, dtype=float)
+    coeffs = _curvature_coefficients(spec)
+    y = np.zeros(coeffs.shape[:1] + x.shape)
+    for column in coeffs.T:
+        y = y * x + column.reshape(column.shape + (1,) * x.ndim)
+    return y.reshape((2, 3) + x.shape)
 
 
 def tri_G(k, spec: LatticeSpec):

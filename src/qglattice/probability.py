@@ -63,11 +63,11 @@ def band_measure(bands: BandStructure, K_energy: float) -> ProbabilityEstimate:
             f"scan reaches k={bands.scan_k_max:g} (E={bands.scan_k_max ** 2:g}) "
             f"but the cutoff is E={K_energy:g}"
         )
-    lengths = [
-        max(0.0, min(iv.energy_hi, K_energy) - max(iv.energy_lo, 0.0))
-        for iv in bands.continuous
-    ]
-    total = float(np.sum(np.array(lengths))) if lengths else 0.0
+    # the energies as SpectralInterval computes them (k ** 2, which can differ
+    # from numpy's k * k in the last bit)
+    energy = np.array([(iv.energy_lo, iv.energy_hi) for iv in bands.continuous]).reshape(-1, 2)
+    lengths = np.maximum(0.0, np.minimum(energy[:, 1], K_energy) - np.maximum(energy[:, 0], 0.0))
+    total = float(np.sum(lengths))
     return ProbabilityEstimate(value=total / K_energy, method="finite_scan",
                                spec=bands.spec, K=K_energy)
 
@@ -85,11 +85,20 @@ def torus_indicator(x, y):
     """High-energy band indicator on the torus of the two edge phases.
 
     x and y are the half-phases of the short and long edge; the sign of the
-    triple product decides membership at leading order in momentum.
+    triple product
+
+        (2 cos(2x + y) + cos y) (cos x + 2 cos(x + 2y)) (cos(x - y) + 2 cos(x + y))
+
+    decides membership at leading order in momentum.  The cosines of sums
+    are expanded by angle addition, so a row x and a column y (as
+    torus_probability passes them) take cosines and sines of the two
+    vectors only, and the grid itself sees multiply-adds.
     """
-    f1 = 2.0 * np.cos(2.0 * x + y) + np.cos(y)
-    f2 = np.cos(x) + 2.0 * np.cos(x + 2.0 * y)
-    f3 = np.cos(x - y) + 2.0 * np.cos(x + y)
+    cx, sx, c2x, s2x = np.cos(x), np.sin(x), np.cos(2.0 * x), np.sin(2.0 * x)
+    cy, sy, c2y, s2y = np.cos(y), np.sin(y), np.cos(2.0 * y), np.sin(2.0 * y)
+    f1 = (2.0 * c2x) * cy - (2.0 * s2x) * sy + cy
+    f2 = cx + (2.0 * cx) * c2y - (2.0 * sx) * s2y
+    f3 = (3.0 * cx) * cy - sx * sy  # cos(x - y) + 2 cos(x + y)
     return f1 * f2 * f3
 
 

@@ -37,6 +37,7 @@ from qglattice.kernels import (
     LatticeSpec,
     Quasimomentum,
     bracket,
+    bracket_curvature_bound,
     f_theta,
     lambda_arrays,
     tri_bracket_neg,
@@ -751,10 +752,15 @@ def _every_probe(xs, side, spec):
     return xs[keep], bits[keep]
 
 
-@pytest.mark.parametrize("spec", [
+#: Lattices of the certified-skip tests.
+SKIP_SPECS = [
     LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0), LatticeSpec.kagome(1.0, 3.0, 0.5),
     LatticeSpec.kagome(2.0, 2.7, 2.0), LatticeSpec.equilateral(0.81, 1.0), LatticeSpec.triangular(1.62, 0.7),
-], ids=["golden", "kagome-ell0.5", "kagome-ell2", "equilateral", "triangular"])
+]
+SKIP_IDS = ["golden", "kagome-ell0.5", "kagome-ell2", "equilateral", "triangular"]
+
+
+@pytest.mark.parametrize("spec", SKIP_SPECS, ids=SKIP_IDS)
 def test_certified_skip_equals_every_probe_evaluation(spec, monkeypatch):
     # seeded blocks of the default grid, some with extra probes between grid
     # probes, some starting at the scan's first probe X_FLOOR, two just above
@@ -787,6 +793,65 @@ def test_certified_skip_equals_every_probe_evaluation(spec, monkeypatch):
         evaluated.clear()
         assert all(map(np.array_equal, bands._strip_step(xs, side, spec), _every_probe(xs, side, spec)))
         assert evaluated == [xs.size]
+
+
+@pytest.mark.parametrize("spec", SKIP_SPECS, ids=SKIP_IDS)
+def test_curvature_bound_does_not_decrease(spec):
+    # _strip_step takes one bound per SKIP_STRIDE cells, at the right end of
+    # the run, for every cell of the run: sound only if no bound decreases in k
+    rng = np.random.default_rng(53)
+    k = np.sort(np.concatenate([[bands.X_FLOOR], np.exp(rng.uniform(math.log(1e-4), math.log(1e4), 20000))]))
+    bound = bracket_curvature_bound(k, "positive", spec)
+    assert bound.shape == (2, 3, k.size)
+    assert (np.diff(bound, axis=-1) >= 0.0).all()
+
+
+def _flat_momenta_by_loop(spec, k_max):
+    # flat_bands' momenta as it found them before: each family's n counted up
+    # one at a time while k(n) <= k_max (1 + 1e-15)
+    def series(k_of_n):
+        ks = []
+        while k_of_n(len(ks) + 1) <= k_max * (1.0 + 1e-15):
+            ks.append(k_of_n(len(ks) + 1))
+        return ks
+
+    multiples = lambda step: lambda n: n * step
+    if spec.kind == "kagome":
+        out = [("b_family", series(multiples(2.0 * math.pi / spec.b))),
+               ("c_family", series(multiples(2.0 * math.pi / spec.c))),
+               ("d_family", series(multiples(2.0 * math.pi / spec.d)))]
+        lengths = (spec.c, spec.b, spec.d)
+    elif spec.kind == "equilateral_kagome":
+        out = [("equilateral_merged", series(multiples(math.pi / spec.c))),
+               ("david_star", series(lambda n: ((6 * n - 3) + (-1) ** (n + 1)) * math.pi / (6.0 * spec.c)))]
+        lengths = (spec.d,)
+    else:
+        out = [("d_family", series(multiples(2.0 * math.pi / spec.d)))]
+        lengths = (spec.d,)
+    if any(abs(2.0 * math.cos(L / spec.ell) + 1.0) < bands.DEGENERATE_TRIG_TOL for L in lengths) \
+            and 1.0 / spec.ell <= k_max:
+        out.append(("degenerate_point", [1.0 / spec.ell]))
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    LatticeSpec.kagome(1.0, 3.0, 1.0), LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 0.7),
+    LatticeSpec.kagome(2.0 * math.pi / 3.0, 3.5, 1.0), LatticeSpec.equilateral(0.81, 1.0),
+    LatticeSpec.equilateral(math.pi / 3.0, 1.0), LatticeSpec.triangular(2.0, 1.0),
+    LatticeSpec.triangular(2.0 * math.pi / 3.0, 1.0),
+], ids=["kagome", "golden", "kagome-degenerate", "equilateral", "equilateral-degenerate", "triangular",
+        "triangular-degenerate"])
+def test_flat_momenta_equal_the_per_n_loop(spec):
+    # k_max generic, exactly on flat momenta of each family, and at the floats
+    # around the (1 + 1e-15) allowance above them
+    k_maxes = [0.5, 1.0, 57.3, 400.0]
+    for _, ks in _flat_momenta_by_loop(spec, 60.0):
+        for k in ks[::7]:
+            for top in (k, k / (1.0 + 1e-15)):
+                k_maxes += [top, np.nextafter(top, 0.0), np.nextafter(top, np.inf)]
+    for k_max in k_maxes:
+        got = [(family, ks.tolist()) for family, ks in bands._flat_momenta(spec, float(k_max))]
+        assert got == _flat_momenta_by_loop(spec, float(k_max)), k_max
 
 
 def test_certified_skip_halves_the_kernel_points(monkeypatch):

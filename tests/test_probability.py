@@ -63,6 +63,28 @@ def test_band_measure_rejects_nan_cutoff():
         band_measure(bs, float("nan"))
 
 
+#: finite_scan_probability(spec, 1e6).value at d = 1.62, ell = 1 for the
+#: kagome edge ratios 1/phi, 1/phi^2, sqrt2 - 1, 2 - sqrt2 and the
+#: equilateral and triangular lattices, pinned bit for bit.
+PINNED_P = [
+    (LatticeSpec.kagome((1.0 / GOLDEN) * 1.62, 1.62, 1.0), 0.6398534430585576),
+    (LatticeSpec.kagome((1.0 / GOLDEN ** 2) * 1.62, 1.62, 1.0), 0.6398534430536595),
+    (LatticeSpec.kagome((math.sqrt(2.0) - 1.0) * 1.62, 1.62, 1.0), 0.6398223284823834),
+    (LatticeSpec.kagome((2.0 - math.sqrt(2.0)) * 1.62, 1.62, 1.0), 0.6398223284826362),
+    (LatticeSpec.equilateral(0.81, 1.0), 0.6649030351342348),
+    (LatticeSpec.triangular(1.62, 1.0), 0.6647642065542639),
+]
+
+
+@pytest.mark.parametrize("spec, value", PINNED_P,
+                         ids=["phi", "phi2", "sqrt2m1", "2msqrt2", "equilateral", "triangular"])
+def test_finite_scan_values_pinned(spec, value):
+    # band_measure squares each edge as SpectralInterval does, with Python's
+    # k ** 2 (libm pow): numpy's k * k differs in the last bit for about
+    # 0.1 % of doubles, which moves P in its last digits
+    assert finite_scan_probability(spec, 1e6).value == value
+
+
 def test_torus_estimate_value():
     est = torus_probability(LatticeSpec.kagome(1.0, GOLDEN, 1.0), grid_n=500)
     assert est.value == pytest.approx(0.639081, abs=1e-2)
@@ -112,6 +134,33 @@ def test_torus_indicator_reflection_symmetry():
     rng = np.random.default_rng(3)
     x, y = rng.uniform(0, 2 * math.pi, (2, 1000))
     assert np.array_equal(torus_indicator(x, y), torus_indicator(-x, -y))
+
+
+def _torus_indicator_seven_cosines(x, y):
+    # torus_indicator as written before its angle-addition expansion
+    f1 = 2.0 * np.cos(2.0 * x + y) + np.cos(y)
+    f2 = np.cos(x) + 2.0 * np.cos(x + 2.0 * y)
+    f3 = np.cos(x - y) + 2.0 * np.cos(x + y)
+    return f1 * f2 * f3
+
+
+def test_torus_indicator_matches_the_seven_cosine_form():
+    rng = np.random.default_rng(29)
+    x, y = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, (2, 100_000))
+    assert np.abs(torus_indicator(x, y) - _torus_indicator_seven_cosines(x, y)).max() <= 1e-13
+    # a row and a column, as torus_probability passes them
+    u = rng.uniform(0.0, 2.0 * math.pi, 300)
+    grid = torus_indicator(u[:, None], u[None, :])
+    assert grid.shape == (300, 300)
+    assert np.abs(grid - _torus_indicator_seven_cosines(u[:, None], u[None, :])).max() <= 1e-13
+
+
+@pytest.mark.parametrize("grid_n", [100, 333, 500, 1234, 2000, 3000, 4099])
+def test_torus_counts_match_the_seven_cosine_form(grid_n):
+    u = (np.arange(grid_n) + 0.5) * (2.0 * np.pi / grid_n)
+    count = sum(int(np.count_nonzero(_torus_indicator_seven_cosines(u[lo:lo + 64, None], u[None, :]) >= 0.0))
+                for lo in range(0, grid_n, 64))
+    assert torus_probability(LatticeSpec.kagome(1.0, GOLDEN, 1.0), grid_n).value == count / grid_n ** 2
 
 
 def test_torus_indicator_axis_swap_symmetry():
