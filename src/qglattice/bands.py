@@ -571,7 +571,8 @@ def _local_band(spec: LatticeSpec, side: str, lo: float, hi: float) -> SpectralI
 
 
 def _negative_seeds(spec: LatticeSpec, kappa_max: float) -> list:
-    """Interior points guaranteed (or expected) to lie inside negative bands."""
+    """Interior points guaranteed (or expected) to lie inside negative bands;
+    the equilateral ones are the zeros of F(kappa) in (0, 1/ell) and (1/ell, 2/ell)."""
     ell = spec.ell
     inv = 1.0 / ell
     if spec.kind == "triangular":
@@ -580,10 +581,8 @@ def _negative_seeds(spec: LatticeSpec, kappa_max: float) -> list:
         # zeros of the reduced condition F(kappa) = 0 bracket the flat point
         seeds = []
         f = lambda kp: float(kagome_equilateral_F(kp, spec))
-        hi2 = 2.0 * inv
-        while f(hi2) < 0 and hi2 < 64.0 * inv:
-            hi2 *= 2.0
-        for lo, hi in ((1e-9 * inv, inv * (1.0 - 1e-9)), (inv * (1.0 + 1e-9), hi2)):
+        # F(2/ell) has numerator 72 C^3 + 36 C^2 - 93 C - 9 > 0, C = cosh(2c/ell) >= 1
+        for lo, hi in ((1e-9 * inv, inv * (1.0 - 1e-9)), (inv * (1.0 + 1e-9), 2.0 * inv)):
             if f(lo) * f(hi) < 0:
                 seeds.append(brentq(f, lo, hi, xtol=1e-14, rtol=4.0 * np.finfo(float).eps))
         return [s for s in seeds if s < kappa_max]
@@ -610,19 +609,16 @@ def kagome_collapse_function(kappa, spec: LatticeSpec):
 
 
 def kagome_collapse_roots(spec: LatticeSpec) -> tuple:
-    """The two roots of the collapse function, one on each side of 1/ell."""
+    """The two roots of the collapse function, one on each side of 1/ell,
+    solved in t = kappa ell on the brackets [1e-12, 1] and [1, 2]."""
     if not spec.is_kagome:
         raise GeometryError("collapse function is a kagome quantity")
     a = spec.c / spec.ell
     f = lambda t: float(_collapse_in_units(t, a))
-    # certified sign brackets in t = kappa ell, where t = 1 is exact: f(0) = 9 > 0 > f(1), f(+inf) = +inf
+    # certified sign brackets in t = kappa ell, where t = 1 is exact: f(0) = 9 > 0 > f(1),
+    # and f(2) = 36 + 36 u - 39 u^2 >= 33 for u = e^(-2c/ell) in (0, 1]
     lo_root = brentq(f, 1e-12, 1.0, xtol=1e-15, rtol=1e-15)
-    hi = 2.0
-    while f(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 64.0:  # pragma: no cover
-            raise InternalConsistencyError("upper collapse root escaped its bracket")
-    hi_root = brentq(f, 1.0, hi, xtol=1e-15, rtol=1e-15)
+    hi_root = brentq(f, 1.0, 2.0, xtol=1e-15, rtol=1e-15)
     return lo_root / spec.ell, hi_root / spec.ell
 
 
@@ -631,11 +627,12 @@ def _band_runs(probes, bits, side, spec: LatticeSpec, first: float) -> tuple:
     an array of sorted (k_lo, k_hi) rows, and hi_trunc.
 
     Each bracket that changes sign between neighbouring probes gives an edge
-    event (the triangular corner bracket, listed twice, one that toggles both
-    its bits), except a lone change between two in-band probes.  Each event
-    is solved (_brent_vec) and rounded to EDGE_BITS; a walk in momentum order
-    restarts from each pair's left-probe bits and opens or closes a band where
-    the state enters or leaves the strip; a band that opens within EDGE_RTOL
+    event, except a lone change between two in-band probes; the corner
+    brackets, equal unless the lattice is generic kagome (l3 = 0 at d = 2c),
+    give one event that toggles both their bits.  Each event is solved
+    (_brent_vec) and rounded to EDGE_BITS; a walk in momentum order restarts
+    from each pair's left-probe bits and opens or closes a band where the
+    state enters or leaves the strip; a band that opens within EDGE_RTOL
     max(1, k) of the last close reopens the last band.  A band holding the
     first probe starts at `first`; hi_trunc is true when the last band holds
     the last probe.
@@ -643,7 +640,7 @@ def _band_runs(probes, bits, side, spec: LatticeSpec, first: float) -> tuple:
     flips = bits[1:] ^ bits[:-1]
     # a lone flip between two in-band probes (common bits not 0, joint bits not 7)
     flips[((flips & (flips - 1)) == 0) & ((bits[1:] & bits[:-1]) != 0) & ((bits[1:] | bits[:-1]) != 7)] = 0
-    toggles = np.array([1, 2, 4] if spec.is_kagome else [1, 6], np.uint8)
+    toggles = np.array([1, 2, 4] if spec.kind == "kagome" else [1, 6], np.uint8)
     pair, which = np.nonzero(flips[:, None] & toggles)
     zeros = _brent_vec(lambda xs, i: np.choose(which[i], _extremal_brackets(xs, side, spec)),
                        probes[pair], probes[pair + 1])
@@ -843,13 +840,20 @@ def detect_gap_closings(spec: LatticeSpec, k_window: tuple, d_window: tuple,
 
     ks = np.linspace(k_lo, k_hi, grid_n)
     ds = np.linspace(d_lo, d_hi, grid_n)
-    kk, dd_grid = np.meshgrid(ks, ds, indexing="ij")
-    sk, sd = np.sign(grad((kk[None], dd_grid[None], f[:, None, None], g[:, None, None])))
-    # (theta, i, j) of every sign-change cell, theta outermost
-    t, i, j = np.argwhere(
-        ((sk[:, :-1, :-1] != sk[:, 1:, :-1]) | (sk[:, :-1, :-1] != sk[:, :-1, 1:]))
-        & ((sd[:, :-1, :-1] != sd[:, 1:, :-1]) | (sd[:, :-1, :-1] != sd[:, :-1, 1:]))
-    ).T
+
+    def cells(lo, hi):
+        """(theta, i, j) rows of the sign-change cells i = lo .. hi - 1, from
+        grid rows lo .. hi (a cell at a block seam needs both)."""
+        kk, dd_grid = np.meshgrid(ks[lo:hi + 1], ds, indexing="ij")
+        sk, sd = np.sign(grad((kk[None], dd_grid[None], f[:, None, None], g[:, None, None])))
+        return np.argwhere(
+            ((sk[:, :-1, :-1] != sk[:, 1:, :-1]) | (sk[:, :-1, :-1] != sk[:, :-1, 1:]))
+            & ((sd[:, :-1, :-1] != sd[:, 1:, :-1]) | (sd[:, :-1, :-1] != sd[:, :-1, 1:]))
+        ) + (0, lo, 0)
+
+    # the sign grid in blocks of rows (bounded memory), then sorted theta outermost
+    tij = np.concatenate(blocks.map_blocks(cells, grid_n - 1, grid_n))
+    t, i, j = tij[np.lexsort(tij.T[::-1])].T
     # each start is its cell's center and carries its theta's (f, g)
     starts = np.column_stack([0.5 * (ks[i] + ks[i + 1]), 0.5 * (ds[j] + ds[j + 1]), f[t], g[t]])
 

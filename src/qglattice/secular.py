@@ -50,13 +50,12 @@ matrix alone, not the kernel formulas.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import MAX_PROBES, InternalConsistencyError
+from .bands import InternalConsistencyError
 from .kernels import EXTREMAL_THETAS, SQRT3, GeometryError, LatticeSpec, Quasimomentum, _require_side
 
 # raw-to-conventional determinant rescale factors, calibrated once against
@@ -289,17 +288,10 @@ _DFT = np.exp(-1j * np.outer(_ORDERS, _NODES)) / 5.0
 _DFT_SHIFTED = (_DFT * np.exp(-2j * _NODES)).T
 #: e^(i m theta) at the three EXTREMAL_THETAS: [e, 0] for theta1, [e, 1] for theta2.
 _EXTREMAL = np.exp(1j * np.multiply.outer(np.array(EXTREMAL_THETAS), _ORDERS))
-for _const in (*_NODE_PHASES, _DFT, _DFT_SHIFTED, _EXTREMAL):
+#: e^(i m t) on the oracle's 64-point grid t in [-pi, pi), one row per t.
+_THETA_GRID = np.exp(1j * np.outer(np.linspace(-np.pi, np.pi, 64, endpoint=False), _ORDERS))
+for _const in (*_NODE_PHASES, _DFT, _DFT_SHIFTED, _EXTREMAL, _THETA_GRID):
     _const.flags.writeable = False
-
-
-@functools.lru_cache(maxsize=8)
-def _theta_grid(n: int) -> np.ndarray:
-    """e^(i m t) on the n-point grid t in [-pi, pi), one row per t; read-only."""
-    t = np.linspace(-np.pi, np.pi, n, endpoint=False)
-    grid = np.exp(1j * np.outer(t, _ORDERS))
-    grid.flags.writeable = False
-    return grid
 
 
 def _bracket_coefficients(z, spec: LatticeSpec) -> np.ndarray:
@@ -351,31 +343,26 @@ VANISH_RTOL = 1.0e-9
 #: never exactly representable, so exact zeros cannot be required.
 SINE_ZERO_TOL = 1.0e-12
 
-#: Grid values plus matrix entries held per chunk of momenta (bounds memory).
-_CHUNK_VALUES = 1 << 19
+#: Momenta per chunk: 68 hold about 2^19 grid values plus matrix entries (bounds memory).
+_CHUNK = 68
 
 
-def oracle_in_spectrum_many(xs, spec: LatticeSpec, theta_grid_n: int = 64, side: str = "positive") -> np.ndarray:
+def oracle_in_spectrum_many(xs, spec: LatticeSpec, side: str = "positive") -> np.ndarray:
     """Brute-force spectral membership from the secular determinant, per momentum.
 
     A momentum is inside iff one of the sine prefactors vanishes (flat band
     or degenerate point), or over the quasimomentum grid the bracket (the
     determinant divided by its prefactor) changes sign (a continuous-band
-    point) or nearly vanishes at some grid point (band edge).  The n x n
-    grid is augmented with the three EXTREMAL_THETAS, where the bracket
+    point) or nearly vanishes at some grid point (band edge).  The grid is
+    a fixed 64 x 64 one plus the three EXTREMAL_THETAS, where the bracket
     attains its range boundary; without the corners a grid of any practical
     size misses the narrow sign-change region of momenta close to a band
     edge.  Their values also set the vanishing tolerance.  The bracket is
-    evaluated from its exact Fourier series (25 determinants per momentum);
-    momenta are processed in chunks, and a grid too large for one chunk in
-    blocks of rows, so memory stays bounded.  Returns a
-    boolean array shaped like `xs`.
+    evaluated from its exact Fourier series (25 determinants per momentum),
+    _CHUNK momenta at a time, so memory stays bounded.  Returns a boolean
+    array shaped like `xs`.
     """
     _require_side(side)
-    if theta_grid_n < 8:
-        raise ValueError("theta_grid_n must be at least 8")
-    if theta_grid_n ** 2 > MAX_PROBES:
-        raise ValueError(f"theta_grid_n ** 2 = {theta_grid_n ** 2:.3g} grid points, the limit is {MAX_PROBES:.0e}")
     xs = np.asarray(xs, dtype=float)
     flat = xs.ravel()
     bad = ~((flat > 0.0) & (flat < math.inf))
@@ -389,22 +376,16 @@ def oracle_in_spectrum_many(xs, spec: LatticeSpec, theta_grid_n: int = 64, side:
         # several families coincide
         half = np.multiply.outer(flat, lengths) / 2.0
         member = (np.abs(np.sin(half)) <= SINE_ZERO_TOL * np.maximum(1.0, half)).any(axis=-1)
-    grid = _theta_grid(theta_grid_n)
     todo = np.flatnonzero(~member)
-    chunk = max(1, _CHUNK_VALUES // (theta_grid_n ** 2 + 25 * 12 ** 2))
-    rows = max(1, min(theta_grid_n, _CHUNK_VALUES // theta_grid_n))  # grid rows per block
-    for start in range(0, todo.size, chunk):
-        idx = todo[start:start + chunk]
+    for start in range(0, todo.size, _CHUNK):
+        idx = todo[start:start + _CHUNK]
         x = flat[idx]
         coeffs = _bracket_coefficients(x + 0j if side == "positive" else 1j * x, spec)
-        partial = grid @ coeffs  # theta1-series summed on the grid rows
+        partial = _THETA_GRID @ coeffs  # theta1-series summed on the grid rows
         corners = np.einsum("ej,njk,ek->ne", _EXTREMAL[:, 0], coeffs, _EXTREMAL[:, 1]).real
-        vmin, vmax = corners.min(axis=1), corners.max(axis=1)
-        for row in range(0, theta_grid_n, rows):
-            block = partial[:, row:row + rows]
-            vals = block.real @ grid.real.T - block.imag @ grid.imag.T
-            vmin = np.minimum(vals.min(axis=(1, 2)), vmin)
-            vmax = np.maximum(vals.max(axis=(1, 2)), vmax)
+        vals = partial.real @ _THETA_GRID.real.T - partial.imag @ _THETA_GRID.imag.T
+        vmin = np.minimum(vals.min(axis=(1, 2)), corners.min(axis=1))
+        vmax = np.maximum(vals.max(axis=(1, 2)), corners.max(axis=1))
         # without a sign change the smallest |value| is |vmin| or |vmax|; its
         # vanishing is a band-edge graze or the theta-independent zero of a
         # point-degenerate band
@@ -413,6 +394,6 @@ def oracle_in_spectrum_many(xs, spec: LatticeSpec, theta_grid_n: int = 64, side:
     return member.reshape(xs.shape)
 
 
-def oracle_in_spectrum(x, spec: LatticeSpec, theta_grid_n: int = 64, side: str = "positive") -> bool:
+def oracle_in_spectrum(x, spec: LatticeSpec, side: str = "positive") -> bool:
     """`oracle_in_spectrum_many` at one momentum."""
-    return bool(oracle_in_spectrum_many([x], spec, theta_grid_n, side)[0])
+    return bool(oracle_in_spectrum_many([x], spec, side)[0])

@@ -79,34 +79,15 @@ def scattering_matrix_resolvent(n: int, ell: float, k: float) -> np.ndarray:
     return ((kl - 1.0) * eye + (kl + 1.0) * u) @ np.linalg.inv((kl + 1.0) * eye + (kl - 1.0) * u)
 
 
-_HIGH_ENERGY_4 = 0.5 * np.array([
-    [1.0, 1.0, -1.0, 1.0],
-    [1.0, 1.0, 1.0, -1.0],
-    [-1.0, 1.0, 1.0, 1.0],
-    [1.0, -1.0, 1.0, 1.0],
-])
-
-_HIGH_ENERGY_6_PATTERN = np.array([
-    [0.0, 1.0, -1.0, 1.0, -1.0, 1.0],
-    [1.0, 0.0, 1.0, -1.0, 1.0, -1.0],
-    [-1.0, 1.0, 0.0, 1.0, -1.0, 1.0],
-    [1.0, -1.0, 1.0, 0.0, 1.0, -1.0],
-    [-1.0, 1.0, -1.0, 1.0, 0.0, 1.0],
-    [1.0, -1.0, 1.0, -1.0, 1.0, 0.0],
-])
-
-#: Momentum (in units of 1/ell) used for the numeric high-energy limit;
-#: convergence of S(k) to its limit is O(1/(k*ell)).
-NUMERIC_LIMIT_KL = 1.0e8
-
-
 def high_energy_limit(n: int) -> np.ndarray:
-    """k -> infinity limit of S(k); closed form for n in {4, 6}, numeric otherwise."""
-    if n == 4:
-        return _HIGH_ENERGY_4.copy()
-    if n == 6:
-        return (2.0 / 3.0) * np.eye(6) + (1.0 / 3.0) * _HIGH_ENERGY_6_PATTERN
-    return scattering_matrix(n, 1.0, NUMERIC_LIMIT_KL).entries.real
+    """k -> infinity (eta -> -1) limit of S(k): the identity for odd n; for
+    even n, (n - 2)/n on the diagonal and (2/n) (-1)^((j-i-1) mod n) off it."""
+    if n < 3:
+        raise InvalidDegreeError(f"vertex degree must be at least 3, got {n}")
+    if n % 2:
+        return np.eye(n)
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return np.where(i == j, (n - 2) / n, (2.0 / n) * (-1.0) ** np.mod(j - i - 1, n))
 
 
 def star_negative_eigenvalues(n: int, ell: float) -> list[float]:

@@ -22,6 +22,7 @@ from qglattice.kernels import GeometryError, LatticeSpec
 from qglattice.vertex import star_negative_eigenvalues
 
 SQRT3 = math.sqrt(3.0)
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def test_equilateral_narrow_band_prediction_values():
@@ -216,3 +217,25 @@ def test_comparison_rows_structure():
     names = [r[0] for r in rows]
     assert any(name.startswith("narrow_band_width") for name in names)
     assert any(name.startswith("negative_width") for name in names)
+
+
+def test_comparison_rows_equilateral():
+    # the narrow pair at n = 50 and one negative width row on each side of
+    # the flat point (2.7 % and 3.7 % off their large-cell limit at c = 6)
+    rows = comparison_rows(LatticeSpec.equilateral(6.0, 1.0))
+    assert [r[0] for r in rows] == ["narrow_band_width_E(n=50)", "narrow_gap_width_E(n=50)",
+                                    "negative_width_E(below flat)", "negative_width_E(above flat)"]
+    assert all(r[3] < 1e-3 for r in rows[:2])
+    assert all(r[3] < 0.05 for r in rows[2:])
+    assert rows[2][1] == rows[3][1] == equilateral_negative_widths(LatticeSpec.equilateral(6.0, 1.0)).band_width_E
+
+
+def test_comparison_rows_generic_kagome():
+    # the three negative band centers of kagome(20/phi, 20) against their
+    # limits: no narrow-pair rows, and every center within 1e-3 relative
+    spec = LatticeSpec.kagome(20.0 / PHI, 20.0, 1.0)
+    rows = comparison_rows(spec)
+    limits = kagome_negative_large_d(spec).limit_energies
+    assert [r[0] for r in rows] == [f"negative_center_E(limit={le:.6g})" for le in limits]
+    assert len(rows) == 3
+    assert all(r[3] < 1e-3 for r in rows)

@@ -39,6 +39,7 @@ from qglattice.kernels import (
     bracket,
     bracket_curvature_bound,
     f_theta,
+    kagome_equilateral_F,
     lambda_arrays,
     tri_bracket_neg,
     tri_bracket_pos,
@@ -475,6 +476,31 @@ def test_gap_closings_on_wide_windows():
         assert found == sorted(found, key=lambda c: (round(c[0], 9), round(c[1], 9), c[2]))
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_gap_closings_are_block_invariant(monkeypatch, threads):
+    # 97-point blocks take 3 rows of the 32 x 32 sign grid each: 11 blocks,
+    # with sign-change cells at their seams
+    expected = [detect_gap_closings(spec, kw, dw, side=side, grid_n=32) for spec, kw, dw, side, _ in WIDE_GAP_WINDOWS]
+    monkeypatch.setenv("QG_THREADS", threads)
+    monkeypatch.setattr(blocks, "BLOCK_POINTS", 97)
+    assert [detect_gap_closings(spec, kw, dw, side=side, grid_n=32)
+            for spec, kw, dw, side, _ in WIDE_GAP_WINDOWS] == expected
+
+
+def test_gap_closing_memory_stays_within_a_few_blocks():
+    # the sign grid is evaluated in blocks of rows, about 22 MB each: 22 MB
+    # at peak on one thread and 42 MB on two, against 165 MB as one array
+    spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
+    tracemalloc.start()
+    try:
+        found = detect_gap_closings(spec, *GAP_WINDOWS[0][:2], grid_n=700)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found
+    assert peak < 16e6 + 24e6 * blocks.thread_count()
+
+
 @pytest.mark.xfail(strict=True, reason="one Newton start per sign-change cell misses this closing, which hybr finds")
 def test_gap_closings_find_the_closing_newton_misses():
     found = detect_gap_closings(LatticeSpec.kagome(0.7, 2.0, 1.0), (0.5, 6.0), (1.5, 6.0), grid_n=32)
@@ -527,6 +553,19 @@ def test_brentq_matches_scipy_bit_for_bit(monkeypatch):
         _negative_seeds(LatticeSpec.equilateral(c, ell), math.inf)
     assert len(pairs) > 600
     assert all(ours.hex() == ref.hex() for ours, ref in pairs)
+
+
+def test_fixed_upper_root_brackets_hold():
+    # kagome_collapse_roots and the equilateral seeds take 2 (in units of
+    # 1/ell) as the upper end of their upper bracket: f(2) = 36 + 36 u - 39 u^2
+    # >= 33 for u = e^(-2c/ell), and F(2/ell) has the numerator
+    # 72 C^3 + 36 C^2 - 93 C - 9 > 0 for C = cosh(2c/ell)
+    ratios = np.logspace(-6.0, 2.5, 2001)
+    assert bands._collapse_in_units(2.0, ratios).min() >= 33.0
+    for ell in (0.37, 1.0, 2.9):
+        with np.errstate(over="ignore"):
+            F = np.array([kagome_equilateral_F(2.0 / ell, LatticeSpec.equilateral(a * ell, ell)) for a in ratios])
+        assert not np.isnan(F).any() and F.min() >= 0.1
 
 
 def test_brentq_without_sign_change_raises():
@@ -806,6 +845,28 @@ def test_curvature_bound_does_not_decrease(spec):
     assert (np.diff(bound, axis=-1) >= 0.0).all()
 
 
+@pytest.mark.parametrize("spec", SKIP_SPECS, ids=SKIP_IDS)
+def test_curvature_bound_serves_cells_from_their_right_end(spec, monkeypatch):
+    # _strip_step certifies cell c (probes ends[c] .. ends[c + 1]) with bound
+    # c // SKIP_STRIDE, so that bound must be evaluated at a momentum no
+    # smaller than the cell's right end; checked for every cell that could be
+    # certified, on seeded blocks of the default grid
+    rng = np.random.default_rng(59)
+    step = 2.0 * math.pi / (1000.0 * spec.d)
+    calls = []
+    inner = bands.bracket_curvature_bound
+    monkeypatch.setattr(bands, "bracket_curvature_bound", lambda x, side, s: calls.append(x) or inner(x, side, s))
+    for _ in range(20):
+        lo = int(np.exp(rng.uniform(0.0, math.log(2.5e6))))
+        xs = np.arange(lo + 1, lo + int(rng.integers(2 * bands.SKIP_STRIDE + 2, 3000))) * step
+        calls.clear()
+        bands._strip_step(xs, "positive", spec)
+        ends = np.append(np.arange(0, xs.size - 1, bands.SKIP_STRIDE), xs.size - 1)
+        assert len(calls) == 1
+        served = np.repeat(calls[0], bands.SKIP_STRIDE)[:ends.size - 1]
+        assert (served >= xs[ends[1:]]).all(), lo
+
+
 def _flat_momenta_by_loop(spec, k_max):
     # flat_bands' momenta as it found them before: each family's n counted up
     # one at a time while k(n) <= k_max (1 + 1e-15)
@@ -917,6 +978,16 @@ def test_negative_scan_makes_few_kernel_calls(spec, monkeypatch):
     monkeypatch.setattr(bands, "_extremal_brackets", lambda x, side, s: calls.append(np.size(x)) or inner(x, side, s))
     scan_negative_bands(spec)
     assert len(calls) <= 12
+
+
+def test_equilateral_corner_brackets_make_one_event(monkeypatch):
+    # l3 = 0 when d = 2c, so the two corner brackets are equal and change
+    # sign together: one edge event each time (193 events with two)
+    events = []
+    inner = bands._brent_vec
+    monkeypatch.setattr(bands, "_brent_vec", lambda fn, a, b: events.append(a.size) or inner(fn, a, b))
+    scan_bands(LatticeSpec.equilateral(1.0, 1.0), "positive", 60.0)
+    assert sum(events) <= 120
 
 
 def test_edge_refinement_stays_cheap(monkeypatch):

@@ -233,6 +233,20 @@ def test_overflowing_negative_scan_exit_code(tmp_path, capsys):
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+def test_flatbands_json_equals_csv(tmp_path):
+    args = ["flatbands", "--kind", "kagome", "--c", "1", "--d", "3", "--k-max", "20"]
+    code, csv_out = _run(tmp_path, "fb.csv", args)
+    assert code == 0
+    code, json_out = _run(tmp_path, "fb.json", args + ["--format", "json"])
+    assert code == 0
+    doc = json.loads(json_out.read_text())
+    rows = csv_out.read_text().splitlines()[1:]
+    assert len(doc) == len(rows) > 0
+    for entry, row in zip(doc, rows):
+        assert list(entry) == ["k", "E", "family", "embedded", "note"]
+        assert ",".join(cli._fmt(v) for v in entry.values()) == row
+
+
 #: Checked-in artifacts and the arguments that wrote them.
 FIXTURE_ARGS = {
     f"{cmd}_{name}.csv": [cmd, "--kind", *spec, *extra]

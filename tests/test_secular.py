@@ -19,8 +19,8 @@ from qglattice.secular import (
     _TRI_ROWS,
     _bracket_coefficients,
     _matrices,
+    _THETA_GRID,
     _phases,
-    _theta_grid,
     kagome_secular_det,
     kagome_secular_matrix,
     normalized_bracket,
@@ -29,7 +29,7 @@ from qglattice.secular import (
     triangular_secular_det,
     triangular_secular_matrix,
 )
-from qglattice.bands import MAX_PROBES, InternalConsistencyError, in_band, scan_bands, scan_negative_bands
+from qglattice.bands import InternalConsistencyError, in_band, scan_bands, scan_negative_bands
 from qglattice.kernels import GeometryError
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -276,13 +276,14 @@ def test_oracle_needs_no_kernel(monkeypatch, spec, side):
         assert oracle_in_spectrum(k, spec, side=side), k
 
 
-def test_oracle_grid_refinement_stability():
+def test_oracle_grid_refinement_stability(monkeypatch):
     spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
     rng = np.random.default_rng(45)
     ks = rng.uniform(0.05, 20.0, 1000)
-    mismatch = np.count_nonzero(
-        oracle_in_spectrum_many(ks, spec, theta_grid_n=8) != oracle_in_spectrum_many(ks, spec, theta_grid_n=64)
-    )
+    fine = oracle_in_spectrum_many(ks, spec)
+    t = np.linspace(-math.pi, math.pi, 8, endpoint=False)
+    monkeypatch.setattr(secular, "_THETA_GRID", np.exp(1j * np.outer(t, np.arange(-2, 3))))
+    mismatch = np.count_nonzero(oracle_in_spectrum_many(ks, spec) != fine)
     assert mismatch == 0
 
 
@@ -290,26 +291,13 @@ def test_oracle_requires_positive_argument_and_grid():
     spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
     with pytest.raises(ValueError):
         oracle_in_spectrum(-1.0, spec)
-    with pytest.raises(ValueError):
-        oracle_in_spectrum(1.0, spec, theta_grid_n=4)
-
-
-def test_oracle_theta_grid_limit_rejected_before_allocating(monkeypatch):
-    # theta_grid_n ** 2 above MAX_PROBES is refused before any array is made
-    monkeypatch.setattr(secular, "np", None)
-    spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
-    for n in (math.isqrt(MAX_PROBES) + 1, 200000):
-        with pytest.raises(ValueError, match="theta_grid_n"):
-            oracle_in_spectrum(1.3, spec, theta_grid_n=n)
 
 
 def test_oracle_theta_tables_cached_and_read_only():
-    grid = _theta_grid(64)
-    assert _theta_grid(64) is grid
-    assert grid.shape == (64, 5) and _theta_grid(8).shape == (8, 5)
+    assert _THETA_GRID.shape == (64, 5)
     t = np.linspace(-math.pi, math.pi, 64, endpoint=False)
-    assert grid.tobytes() == np.exp(1j * np.outer(t, np.arange(-2, 3))).tobytes()
-    for table in (grid, _theta_grid(8), _EXTREMAL, _DFT, _DFT_SHIFTED, *_NODE_PHASES):
+    assert _THETA_GRID.tobytes() == np.exp(1j * np.outer(t, np.arange(-2, 3))).tobytes()
+    for table in (_THETA_GRID, _EXTREMAL, _DFT, _DFT_SHIFTED, *_NODE_PHASES):
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0.0
 
@@ -327,32 +315,19 @@ def test_oracle_many_matches_single_calls():
             oracle_in_spectrum_many(bad, spec)
 
 
-@pytest.mark.parametrize("side", ["positive", "negative"])
-def test_oracle_large_theta_grid_in_row_blocks(monkeypatch, side):
-    # a 1000-point grid holds 1e6 values per momentum, above the chunk budget,
-    # so its rows go in blocks with a running min and max; momenta just
-    # inside and outside band edges decide as with the whole grid at once
-    spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
-    bs = scan_bands(spec, "positive", 8.0) if side == "positive" else scan_negative_bands(spec)
-    edges = np.array([k for iv in bs.continuous for k in (iv.k_lo, iv.k_hi) if k > 0.0][:4])
-    ks = np.concatenate([edges * (1.0 - 1e-7), edges * (1.0 + 1e-7), edges * (1.0 - 1e-3), edges * (1.0 + 1e-3)])
-    blocked = oracle_in_spectrum_many(ks, spec, theta_grid_n=1000, side=side)
-    assert 0 < blocked.sum() < blocked.size
-    monkeypatch.setattr(secular, "_CHUNK_VALUES", 1000 ** 2 + 25 * 12 ** 2)  # one block per momentum
-    assert blocked.tolist() == oracle_in_spectrum_many(ks, spec, theta_grid_n=1000, side=side).tolist()
-
-
-def test_oracle_theta_grid_memory_stays_bounded():
+def test_oracle_momentum_chunks_keep_memory_bounded():
+    # momenta go through in chunks of secular._CHUNK: about 9 MB at peak for
+    # 1000 of them (or 5000), where the 1000 as one chunk take 92 MB
     tracemalloc = pytest.importorskip("tracemalloc")
     spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
-    oracle_in_spectrum(1.3, spec, theta_grid_n=2000)  # builds the cached grid table
+    ks = np.random.default_rng(48).uniform(0.05, 20.0, 1000)
     tracemalloc.start()
     try:
-        oracle_in_spectrum(1.3, spec, theta_grid_n=2000)
+        oracle_in_spectrum_many(ks, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6  # the whole 2000 x 2000 grid would be 32 MB per array
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("d", [100.0, 200.0])
