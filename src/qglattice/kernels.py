@@ -2,10 +2,10 @@
 
 Everything in this module is a pure closed-form evaluation: the lattice
 geometry types, the quasimomentum weight functions ``f_theta``/``g_theta``,
-the three trigonometric kernels (and their hyperbolic analogues on the
-negative energy side) that enter the kagome spectral condition, the reduced
-rational conditions for the triangular lattice, and the leading high-energy
-expansion coefficients.
+the three kernels (l1, l2, l3) of the kagome spectral condition, computed
+together by one function per side (trigonometric on the positive energy
+side, hyperbolic on the negative), the reduced rational conditions for the
+triangular lattice, and the leading high-energy expansion coefficients.
 
 All kernel evaluators accept scalars or numpy arrays, and remain valid for
 complex momentum arguments (the hyperbolic forms are the analytic
@@ -106,14 +106,6 @@ class Quasimomentum:
     theta1: float
     theta2: float
 
-    @property
-    def f(self):
-        return f_theta(self)
-
-    @property
-    def g(self):
-        return g_theta(self)
-
 
 @dataclass(frozen=True)
 class KernelTriple:
@@ -145,72 +137,55 @@ def _fg_arrays(theta1, theta2):
 
 
 # --------------------------------------------------------------------------
-# Kagome kernels.  The positive-side forms are trigonometric; substituting
+# Kagome kernels, one function per side returning (l1, l2, l3).  Each
+# computes x = (k ell)^2, (x -+ 1)^2 and the half-angle phases k(d - c)/2 and
+# kc/2 once.  The positive-side forms are trigonometric; substituting
 # k -> i*kappa turns them into the hyperbolic negative-side forms, which are
-# coded independently below so that the agreement can be tested.
+# coded independently so that the agreement can be tested.
 
-def _lambda1_pos(k, c, d, ell):
+def _kagome_pos(k, c, d, ell):
     x = (k * ell) ** 2
+    xp1, xm1_sq = x + 1.0, (x - 1.0) ** 2
+    half_b, half_c = k * (d - c) / 2.0, k * c / 2.0
     cos_d = np.cos(k * d)
-    return 2.0 * (x + 1.0) * (
-        4.0 * (x + 1.0) ** 2
+    l1 = 2.0 * xp1 * (
+        4.0 * xp1 ** 2
         * (np.cos(k * (c + d)) + np.cos(k * (c - 2.0 * d)) + 2.0 * cos_d + np.cos(2.0 * k * d))
         + (x * x + 14.0 * x + 1.0) * (2.0 * cos_d + 1.0) * np.cos(k * (2.0 * c - d))
         + (3.0 * x * x + 18.0 * x + 3.0)
         + (5.0 * x * x + 22.0 * x + 5.0) * (np.cos(k * (d - c)) + np.cos(k * c))
     )
-
-
-def _lambda2_pos(k, c, d, ell):
-    x = (k * ell) ** 2
-    return (
-        8.0 * (x + 1.0) * (x - 1.0) ** 2
-        * np.cos(k * (d - c) / 2.0) * np.cos(k * c / 2.0)
+    l2 = (
+        8.0 * xp1 * xm1_sq
+        * np.cos(half_b) * np.cos(half_c)
         * (np.cos(k * (2.0 * c - d) / 2.0) + 2.0 * np.cos(k * d / 2.0))
     )
+    l3 = 16.0 * k * ell * xm1_sq * np.sin(half_b) * np.sin(half_c) * np.sin(k * (d - 2.0 * c) / 2.0)
+    return l1, l2, l3
 
 
-def _lambda3_pos(k, c, d, ell):
-    x = (k * ell) ** 2
-    return (
-        16.0 * k * ell * (x - 1.0) ** 2
-        * np.sin(k * (d - c) / 2.0) * np.sin(k * c / 2.0) * np.sin(k * (d - 2.0 * c) / 2.0)
-    )
-
-
-def _lambda1_neg(kp, c, d, ell):
+def _kagome_neg(kp, c, d, ell):
     x = (kp * ell) ** 2
+    one_mx, xp1_sq = 1.0 - x, (x + 1.0) ** 2
+    half_b, half_c = kp * (d - c) / 2.0, kp * c / 2.0
     cosh_d = np.cosh(kp * d)
-    return 2.0 * (1.0 - x) * (
+    l1 = 2.0 * one_mx * (
         4.0 * (x - 1.0) ** 2
         * (np.cosh(kp * (c + d)) + np.cosh(kp * (c - 2.0 * d)) + 2.0 * cosh_d + np.cosh(2.0 * kp * d))
         + (x * x - 14.0 * x + 1.0) * (2.0 * cosh_d + 1.0) * np.cosh(kp * (2.0 * c - d))
         + (3.0 * x * x - 18.0 * x + 3.0)
         + (5.0 * x * x - 22.0 * x + 5.0) * (np.cosh(kp * (d - c)) + np.cosh(kp * c))
     )
-
-
-def _lambda2_neg(kp, c, d, ell):
-    x = (kp * ell) ** 2
-    return (
-        8.0 * (1.0 - x) * (x + 1.0) ** 2
+    l2 = (
+        8.0 * one_mx * xp1_sq
         * (np.cosh(kp * (2.0 * c - d) / 2.0) + 2.0 * np.cosh(kp * d / 2.0))
-        * np.cosh(kp * (d - c) / 2.0) * np.cosh(kp * c / 2.0)
+        * np.cosh(half_b) * np.cosh(half_c)
     )
+    l3 = 16.0 * kp * ell * xp1_sq * np.sinh(half_b) * np.sinh(half_c) * np.sinh(kp * (d - 2.0 * c) / 2.0)
+    return l1, l2, l3
 
 
-def _lambda3_neg(kp, c, d, ell):
-    x = (kp * ell) ** 2
-    return (
-        16.0 * kp * ell * (x + 1.0) ** 2
-        * np.sinh(kp * (d - c) / 2.0) * np.sinh(kp * c / 2.0) * np.sinh(kp * (d - 2.0 * c) / 2.0)
-    )
-
-
-_KERNELS = {
-    "positive": (_lambda1_pos, _lambda2_pos, _lambda3_pos),
-    "negative": (_lambda1_neg, _lambda2_neg, _lambda3_neg),
-}
+_KERNELS = {"positive": _kagome_pos, "negative": _kagome_neg}
 
 
 def _require_side(side) -> None:
@@ -221,7 +196,7 @@ def _require_side(side) -> None:
 def _lambdas(x, side, c, d, ell):
     """Kernel values (l1, l2, l3) at momentum x and cell period d; x and d may be complex."""
     _require_side(side)
-    return tuple(kernel(x, c, d, ell) for kernel in _KERNELS[side])
+    return _KERNELS[side](x, c, d, ell)
 
 
 def lambda_arrays(x, side, spec: LatticeSpec):

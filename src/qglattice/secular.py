@@ -272,11 +272,6 @@ def _matrices(z, phases, spec: LatticeSpec) -> np.ndarray:
     return _triangular_rows(z, *phases, spec.d, spec.ell)
 
 
-def _det_grid(z, theta1, theta2, spec: LatticeSpec) -> np.ndarray:
-    """Raw determinants, broadcast over arrays of z and of the quasimomentum angles."""
-    return np.linalg.det(_matrices(z, _phases(theta1, theta2), spec))
-
-
 #: Fourier orders of the bracket series and the five sample angles 2 pi m / 5.
 _ORDERS = np.arange(-2, 3)
 _NODES = 2.0 * np.pi * np.arange(5) / 5.0

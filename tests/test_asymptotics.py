@@ -50,6 +50,19 @@ def test_prediction_geometry_guards():
         equilateral_narrow_band(0, LatticeSpec.equilateral(1.0, 1.0))
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: triangular_narrow_band(0, LatticeSpec.triangular(1.0, 1.0)), ValueError),
+    (lambda: kagome_negative_large_d(LatticeSpec.triangular(1.0, 1.0)), GeometryError),
+    (lambda: equilateral_negative_widths(LatticeSpec.kagome(1.0, 3.0, 1.0)), GeometryError),
+    (lambda: triangular_negative_large_d(LatticeSpec.kagome(1.0, 3.0, 1.0)), GeometryError),
+    (lambda: measure_narrow_pair(LatticeSpec.kagome(1.0, 3.0, 1.0), 1), GeometryError),
+], ids=["triangular-pair-n-0", "kagome-collapse-on-triangular", "equilateral-widths-on-kagome",
+        "triangular-collapse-on-kagome", "narrow-pair-on-kagome"])
+def test_prediction_wrong_kind_or_index_raises(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_narrow_pair_measurements_converge():
     eq = LatticeSpec.equilateral(1.0, 1.0)
     pred = equilateral_narrow_band(1, eq)

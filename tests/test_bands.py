@@ -34,11 +34,13 @@ from qglattice.asymptotics import equilateral_narrow_band, measure_narrow_pair, 
 from qglattice.probability import finite_scan_probability
 from qglattice.kernels import (
     EXTREMAL_THETAS,
+    GeometryError,
     LatticeSpec,
     Quasimomentum,
     bracket,
     bracket_curvature_bound,
     f_theta,
+    g_theta,
     kagome_equilateral_F,
     lambda_arrays,
     tri_bracket_neg,
@@ -501,6 +503,32 @@ def test_gap_closing_memory_stays_within_a_few_blocks():
     assert peak < 16e6 + 24e6 * blocks.thread_count()
 
 
+def test_gap_closing_search_and_collapse_roots_reject_the_triangular_lattice():
+    spec = LatticeSpec.triangular(2.0)
+    with pytest.raises(GeometryError):
+        kagome_collapse_roots(spec)
+    with pytest.raises(GeometryError):
+        detect_gap_closings(spec, (1.8, 2.6), (2.1, 3.6))
+
+
+def test_gap_closings_drop_a_band_edge(monkeypatch):
+    # every Newton start "converges" to an edge of kagome(1, 3)'s band
+    # [1.778, 2.645], at the corner theta of that edge: the bracket vanishes
+    # there, but only the momenta on one side of it are in band
+    spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
+    band = next(iv for iv in scan_bands(spec, "positive", 3.0).intervals if iv.k_lo < 2.0 < iv.k_hi)
+    for k_edge, theta, inside in ((band.k_lo, band.edge_theta_lo, 1), (band.k_hi, band.edge_theta_hi, -1)):
+        l1, l2, l3 = lambda_arrays(k_edge, "positive", spec)
+        f, g = f_theta(Quasimomentum(*theta)), g_theta(Quasimomentum(*theta))
+        assert abs(l1 - l2 * f - l3 * g) <= 1e-9 * (abs(l1) + 3.0 * abs(l2) + 1.5 * SQRT3 * abs(l3) + 1.0)
+        h = 1e-6 * k_edge
+        assert in_band(k_edge + inside * h, "positive", spec) and not in_band(k_edge - inside * h, "positive", spec)
+        starts = []
+        monkeypatch.setattr(bands, "root", lambda fn, x0: starts.append(x0) or [np.array([k_edge, 3.0])] * len(x0))
+        assert detect_gap_closings(spec, (1.7, 2.7), (2.1, 3.6), grid_n=32) == []
+        assert (starts[0][:, 2] == f).any()  # some start carries the edge's theta
+
+
 @pytest.mark.xfail(strict=True, reason="one Newton start per sign-change cell misses this closing, which hybr finds")
 def test_gap_closings_find_the_closing_newton_misses():
     found = detect_gap_closings(LatticeSpec.kagome(0.7, 2.0, 1.0), (0.5, 6.0), (1.5, 6.0), grid_n=32)
@@ -513,10 +541,12 @@ def test_gap_closings_find_the_closing_newton_misses():
     (lambda: detect_gap_closings(LatticeSpec.kagome(1.0, 3.0), *GAP_WINDOWS[0][:2], side="Positive"), "side must be"),
     (lambda: detect_gap_closings(LatticeSpec.kagome(1.0, 3.0), *GAP_WINDOWS[0][:2], grid_n=1), "grid_n"),
     (lambda: detect_gap_closings(LatticeSpec.kagome(1.0, 3.0), (1.0, math.inf), (2.0, 3.0)), "finite"),
+    (lambda: detect_gap_closings(LatticeSpec.kagome(1.0, 3.0), (2.0, 2.0), (2.1, 3.6)), "nonempty"),
+    (lambda: detect_gap_closings(LatticeSpec.kagome(1.0, 3.0), (1.8, 2.6), (1.0, 3.6)), "nonempty"),
     # rejected before any grid is built
     (lambda: detect_gap_closings(LatticeSpec.kagome(1.0, 3.0), *GAP_WINDOWS[0][:2], grid_n=10_001), "grid points"),
 ], ids=["in_band-side", "oracle-side", "gap-closings-side", "gap-closings-grid-n-1", "gap-closings-infinite-window",
-        "gap-closings-grid-n-too-large"])
+        "gap-closings-empty-window", "gap-closings-d-not-above-c", "gap-closings-grid-n-too-large"])
 def test_invalid_argument_raises(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -571,6 +601,27 @@ def test_fixed_upper_root_brackets_hold():
 def test_brentq_without_sign_change_raises():
     with pytest.raises(InternalConsistencyError, match="no sign change"):
         brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-15)
+
+
+def test_brentq_nan_exact_zero_and_iteration_limit():
+    with pytest.raises(InternalConsistencyError, match="NaN"):
+        brentq(lambda x: math.nan, 1.0, 2.0, 1e-12, 1e-15)
+    # an exact zero at a bracket end is returned as it is
+    assert brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-12, 1e-15) == 1.0
+    assert brentq(lambda x: x - 2.0, 1.0, 2.0, 1e-12, 1e-15) == 2.0
+    with pytest.raises(InternalConsistencyError, match="no convergence in 2 steps"):
+        brentq(lambda x: x ** 3 - 2.0, 1.0, 2.0, 1e-12, 1e-15, max_iter=2)
+
+
+def test_brent_vec_raises_on_nan_no_sign_change_and_no_convergence(monkeypatch):
+    a, b = np.array([1.0, 1.0]), np.array([2.0, 2.0])
+    with pytest.raises(InternalConsistencyError, match="NaN"):
+        bands._brent_vec(lambda xs, i: np.where(i == 1, np.nan, xs - 1.5), a, b)
+    with pytest.raises(InternalConsistencyError, match="no sign change"):
+        bands._brent_vec(lambda xs, i: xs * xs + i, a, b)
+    monkeypatch.setattr(bands, "BRENT_MAX_ITER", 2)
+    with pytest.raises(InternalConsistencyError, match="not converged in 2 steps"):
+        bands._brent_vec(lambda xs, i: xs ** 3 - 2.0, a, b)
 
 
 def _sign_change_brackets(spec, side, x_max, rng, n):

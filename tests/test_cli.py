@@ -191,6 +191,25 @@ def test_missing_geometry_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spec, flag", [
+    (["--kind", "equilateral"], "--c"),
+    (["--kind", "kagome", "--c", "1"], "--d"),
+], ids=["equilateral-without-c", "kagome-without-d"])
+def test_missing_kagome_length_exit_code(tmp_path, capsys, spec, flag):
+    code = main(["bands", *spec, "--k-max", "5", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_default_out_writes_stdout(tmp_path, capsys):
+    args = ["bands", "--kind", "kagome", "--c", "1", "--d", "3", "--k-max", "5"]
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    code, out = _run(tmp_path, "bands.csv", args)
+    assert code == 0
+    assert stdout.startswith("side,") and stdout == out.read_text()
+
+
 @pytest.mark.parametrize("argv", [
     ["bands", "--kind", "kagome", "--c", "1", "--d", "3", "--k-max", "5", "--resolution", "0"],
     ["bands", "--kind", "kagome", "--c", "1", "--d", "3", "--k-max", "5", "--resolution", "-1"],

@@ -317,8 +317,8 @@ def test_lambda1_evaluates_cos_kd_once_bit_for_bit():
         + (3.0 * xp * xp - 18.0 * xp + 3.0)
         + (5.0 * xp * xp - 22.0 * xp + 5.0) * (np.cosh(kp * (d - c)) + np.cosh(kp * c))
     )
-    assert np.array_equal(kernels._lambda1_pos(k, c, d, ell), pos)
-    assert np.array_equal(kernels._lambda1_neg(kp, c, d, ell), neg)
+    assert np.array_equal(kernels._lambdas(k, "positive", c, d, ell)[0], pos)
+    assert np.array_equal(kernels._lambdas(kp, "negative", c, d, ell)[0], neg)
 
 
 @pytest.mark.parametrize("spec", BOUND_CASES, ids=lambda s: f"{s.kind}-ell{s.ell:g}")
@@ -376,3 +376,12 @@ def test_lattice_spec_validation():
     assert LatticeSpec.kagome(1.0, 2.0, 1.0).kind == "equilateral_kagome"
     assert LatticeSpec("kagome", 1.0, 2.0, 1.0).kind == "equilateral_kagome"
     assert LatticeSpec.kagome(1.0, 3.0, 1.0).b == 2.0
+
+
+def test_kernel_kind_and_coefficient_guards():
+    with pytest.raises(GeometryError):
+        lambda_arrays(1.0, "positive", LatticeSpec.triangular(2.0, 1.0))
+    with pytest.raises(GeometryError):
+        kagome_equilateral_F(1.0, LatticeSpec.kagome(1.0, 3.0, 1.0))
+    with pytest.raises(ValueError, match="which must be"):
+        asymptotic_coefficients(1.0, Quasimomentum(0.0, 0.0), LatticeSpec.kagome(1.0, 3.0, 1.0), which="delta")

@@ -101,6 +101,11 @@ def test_torus_grid_limit_rejected_before_allocating(monkeypatch):
         torus_probability(spec, grid_n=20000)
 
 
+def test_torus_grid_below_one_hundred_rejected():
+    with pytest.raises(ValueError, match="at least 100"):
+        torus_probability(LatticeSpec.kagome(1.0, GOLDEN, 1.0), grid_n=99)
+
+
 @pytest.mark.parametrize("grid_n, value", [(100, 0.6384), (333, 0.6390534678822967), (2000, 0.639058),
                                            (4099, 0.6390797629373185)])
 def test_torus_values_pinned(grid_n, value):

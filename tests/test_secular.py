@@ -114,6 +114,11 @@ def test_secular_matrix_shape_and_errors():
         kagome_secular_matrix(0.0, Quasimomentum(0.0, 0.0), spec)
 
 
+def test_triangular_secular_matrix_rejects_zero_momentum():
+    with pytest.raises(ValueError, match="z != 0"):
+        triangular_secular_matrix(0.0, Quasimomentum(0.0, 0.0), LatticeSpec.triangular(2.0, 1.0))
+
+
 def _reference_matrices(spec, z, phases):
     """The secular matrices built one vertex-condition term at a time, in row
     order, each entry +-(val +- der) on its own."""
@@ -190,14 +195,12 @@ def test_triangular_determinant_against_reduced_bracket():
 def test_triangular_no_bound_state_at_inverse_ell():
     # the reduced determinant at z = i/ell is nonzero for every
     # quasimomentum: the root suggested by the full condition is spurious
-    from qglattice.secular import _det_grid
-
     for d, ell in ((1.7, 0.8), (1.0, 1.0)):
         spec = LatticeSpec.triangular(d, ell)
         z = 1j / ell
         thetas = np.linspace(-math.pi, math.pi, 64, endpoint=False)
         t1g, t2g = np.meshgrid(thetas, thetas, indexing="ij")
-        raw = _det_grid(z, t1g.ravel(), t2g.ravel(), spec)
+        raw = np.linalg.det(secular._matrices(z, secular._phases(t1g.ravel(), t2g.ravel()), spec))
         assert np.abs(raw).min() > 1e-3  # nonzero over the whole 64 x 64 grid
         ch = math.cosh(d / ell)
         ch2 = math.cosh(2.0 * d / ell)
@@ -287,13 +290,13 @@ def test_oracle_grid_refinement_stability(monkeypatch):
     assert mismatch == 0
 
 
-def test_oracle_requires_positive_argument_and_grid():
+def test_oracle_requires_positive_argument():
     spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
     with pytest.raises(ValueError):
         oracle_in_spectrum(-1.0, spec)
 
 
-def test_oracle_theta_tables_cached_and_read_only():
+def test_oracle_theta_tables_fixed_and_read_only():
     assert _THETA_GRID.shape == (64, 5)
     t = np.linspace(-math.pi, math.pi, 64, endpoint=False)
     assert _THETA_GRID.tobytes() == np.exp(1j * np.outer(t, np.arange(-2, 3))).tobytes()

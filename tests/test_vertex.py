@@ -38,6 +38,13 @@ def test_degree_below_three_rejected():
         scattering_matrix(2, 1.0, 1.0)
 
 
+def test_limit_and_star_reject_degree_below_three():
+    with pytest.raises(InvalidDegreeError):
+        high_energy_limit(2)
+    with pytest.raises(InvalidDegreeError):
+        star_negative_eigenvalues(2, 1.0)
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_scattering_at_inverse_ell_is_coupling_matrix(n):
     ell = 1.3
@@ -96,7 +103,7 @@ def test_high_energy_limit_degree_six():
     assert np.abs(numeric - expected).max() < 1e-5
 
 
-def test_high_energy_limit_odd_degree_numeric():
+def test_high_energy_limit_odd_degree_is_identity():
     assert np.abs(high_energy_limit(5) - np.eye(5)).max() < 1e-5
 
 
