@@ -323,11 +323,15 @@ def _limit_membership(ks, side, spec):
 
 def _flat_momenta(spec: LatticeSpec, k_max: float) -> list:
     """Momenta of the positive-side flat bands up to k_max (flat_bands), as
-    (family, ascending momenta) pairs."""
+    (family, ascending momenta) pairs.  Raises ValueError, before allocating,
+    when a family would hold more than MAX_PROBES momenta."""
     top = k_max * (1.0 + 1e-15)
 
     def series(k_of_n, n_max):
         # k_of_n increases with n and exceeds top at n_max
+        if n_max > MAX_PROBES:
+            raise ValueError(f"about {n_max:.3g} flat-band momenta up to k_max = {k_max:g}, "
+                             f"the limit is {MAX_PROBES:.0e}")
         ks = k_of_n(np.arange(1, n_max + 1))
         return ks[ks <= top]
 
@@ -731,13 +735,13 @@ def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
             stacklevel=2,
         )
 
-    runs, hi_trunc = _scan_continuous(spec, side, k_max, resolution)
-
-    # families by name, so that the stable sort below puts flat bands in (k, family) order
+    # families by name, so that the stable sort below puts flat bands in (k, family) order;
+    # built before the scan, so that a family too large to hold fails first
     if side == "negative":
         families = [(fb.family, np.array([fb.k])) for fb in negative_flat_bands(spec) if fb.k <= k_max]
     else:
         families = sorted(_flat_momenta(spec, k_max), key=lambda fam: fam[0])
+    runs, hi_trunc = _scan_continuous(spec, side, k_max, resolution)
     points = [ks for family, ks in families if side == "negative" or family in ("david_star", "degenerate_point")]
 
     # a strip crossing pinched to zero width where the bracket vanishes

@@ -148,6 +148,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scattering(args) -> int:
+    if args.n ** 2 > MAX_PROBES:
+        raise ValueError(f"--n ** 2 = {args.n ** 2:.3g} matrix entries, the limit is {MAX_PROBES:.0e}")
     s = scattering_matrix(args.n, args.ell, args.k)
     rows = [
         (i + 1, j + 1, s.entries[i, j].real, s.entries[i, j].imag)

@@ -273,83 +273,46 @@ def tri_bracket_parts_neg(kp, spec: LatticeSpec):
 
 
 # --------------------------------------------------------------------------
-# Curvature bound of the positive-side extremal brackets.  Each kernel above
-# is expanded, product to sum, into a series sum_m P_m(k) e^(i w_m k): a
-# dict from the frequency w = (p c + q d) / 2, kept as the integer pair
-# (p, q) so that equal frequencies merge exactly (as (p + 2 q, 0) for the
-# equilateral lattice, where d = 2 c), to the ascending coefficients of P_m.
-# A term's second derivative is (P'' + 2 i w P' - w^2 P) e^(i w k), so with
-# |P| the polynomial of the coefficients' moduli, |T''| <= |P|'' + 2 |w| |P|'
-# + w^2 |P| for k >= 0: a polynomial with nonnegative coefficients, which is
-# nondecreasing in k.
+# Curvature bound of the positive-side extremal brackets.  _kernel_terms
+# lists each kernel above as the terms it is computed from, P(k) times a
+# product of n cosines or sines of w_i k.  Such a product is the mean, over
+# the 2^n sign choices, of a signed cosine or sine of (sum +-w_i) k, and the
+# cross terms w_i w_j cancel in the mean of (sum +-w_i)^2.  So with
+# W2 = sum w_i^2 the product's first derivative is at most sqrt(W2) and its
+# second at most W2 in modulus, and with |P| the polynomial of P's
+# coefficient moduli a term's second derivative is at most
+# |P|'' + 2 sqrt(W2) |P|' + W2 |P| for k >= 0: a polynomial with nonnegative
+# coefficients, which is nondecreasing in k.
 
-def _poly_add(*polys):
-    """Sum of ascending coefficient arrays of any lengths."""
-    out = np.zeros(max(map(len, polys)), np.result_type(*polys))
-    for p in polys:
-        out[:len(p)] += p
-    return out
-
-
-def _poly_der(p):
-    return p[1:] * np.arange(1, len(p))
-
-
-def _series_sum(*terms):
-    """Sum of (weight, series) terms."""
-    out = {}
-    for weight, series in terms:
-        for key, coeffs in series.items():
-            out[key] = _poly_add(out.get(key, coeffs[:0]), weight * coeffs)
-    return out
-
-
-def _series_product(*factors):
-    out = {(0, 0): np.ones(1, complex)}
-    for factor in factors:
-        product = {}
-        for (p1, q1), a in out.items():
-            for (p2, q2), b in factor.items():
-                key = (p1 + p2, q1 + q2)
-                product[key] = _poly_add(product.get(key, a[:0]), np.convolve(a, b))
-        out = product
-    return out
-
-
-def _kernel_series(spec: LatticeSpec):
-    """Series of the positive-side kernels and the weights of the three
-    extremal brackets on them: bracket j is sum_i weights[j][i] kernels[i]."""
+def _kernel_terms(spec: LatticeSpec):
+    """Positive-side kernels as lists of terms (P, w), each the product
+    P(k) prod_i trig(w_i k) that _kagome_pos or tri_bracket_parts_pos
+    computes, with trig the cosine but for l3's sines, and P's signed
+    coefficients ascending in k (8 of them; the degree is 6 at most).  Also
+    the weights of the three extremal brackets: bracket j is
+    sum_i weights[j][i] kernels[i]."""
     c, d, ell = spec.c, spec.d, spec.ell
-    key = (lambda p, q: (p + 2 * q, 0)) if spec.kind == "equilateral_kagome" else (lambda p, q: (p, q))
+    b = d - c
 
-    def cos(p, q):
-        return _series_sum((0.5, {key(p, q): np.ones(1, complex)}), (0.5, {key(-p, -q): np.ones(1, complex)}))
+    def poly(*factors):  # product of polynomials ascending in x = (k ell)^2
+        p_x = functools.reduce(np.convolve, factors, (1.0,))
+        p = np.zeros(8)
+        p[:2 * p_x.size:2] = p_x * ell ** (2.0 * np.arange(p_x.size))
+        return p
 
-    def sin(p, q):
-        return _series_sum((-0.5j, {key(p, q): np.ones(1, complex)}), (0.5j, {key(-p, -q): np.ones(1, complex)}))
-
-    def poly(*ascending):
-        return {(0, 0): np.array(ascending, complex)}
-
-    def quad(a, b, c0):  # a x^2 + b x + c0 with x = (k ell)^2
-        return poly(c0, 0.0, b * ell ** 2, 0.0, a * ell ** 4)
-
-    xp1, xm1 = quad(0.0, 1.0, 1.0), quad(0.0, 1.0, -1.0)
+    xp1, xm1_sq = (1.0, 1.0), (1.0, -2.0, 1.0)
     if spec.kind == "triangular":
-        a = _series_sum((1.0, quad(3.0, 18.0, 3.0)),
-                        (1.0, _series_product(quad(3.0, 10.0, 3.0), _series_sum((2.0, cos(0, 2)), (1.0, cos(0, 4))))))
-        c_part = _series_product(poly(4.0), xm1, xm1, cos(0, 1), cos(0, 1))
-        return (a, c_part), ((1.0, -3.0), (1.0, 1.5), (1.0, 1.5))
-    l1 = _series_product(poly(2.0), xp1, _series_sum(
-        (4.0, _series_product(xp1, xp1, _series_sum(
-            (1.0, cos(2, 2)), (1.0, cos(2, -4)), (2.0, cos(0, 2)), (1.0, cos(0, 4))))),
-        (1.0, _series_product(quad(1.0, 14.0, 1.0), _series_sum((2.0, cos(0, 2)), (1.0, poly(1.0))), cos(4, -2))),
-        (1.0, quad(3.0, 18.0, 3.0)),
-        (1.0, _series_product(quad(5.0, 22.0, 5.0), _series_sum((1.0, cos(-2, 2)), (1.0, cos(2, 0))))),
-    ))
-    l2 = _series_product(poly(8.0), xp1, xm1, xm1, cos(-1, 1), cos(1, 0),
-                         _series_sum((1.0, cos(2, -1)), (2.0, cos(0, 1))))
-    l3 = _series_product(poly(0.0, 16.0 * ell), xm1, xm1, sin(-1, 1), sin(1, 0), sin(-2, 1))
+        a = poly((3.0, 10.0, 3.0))
+        return (([(poly((3.0, 18.0, 3.0)), ()), (2.0 * a, (d,)), (a, (2.0 * d,))],
+                 [(poly((4.0,), xm1_sq), (d / 2.0, d / 2.0))]),
+                ((1.0, -3.0), (1.0, 1.5), (1.0, 1.5)))
+    xp1_cube, xp1_14, xp1_22 = poly(xp1, xp1, xp1), poly(xp1, (1.0, 14.0, 1.0)), poly(xp1, (5.0, 22.0, 5.0))
+    l1 = [(8.0 * xp1_cube, (c + d,)), (8.0 * xp1_cube, (c - 2.0 * d,)), (8.0 * xp1_cube, (2.0 * d,)),
+          (16.0 * xp1_cube, (d,)), (4.0 * xp1_14, (d, 2.0 * c - d)), (2.0 * xp1_14, (2.0 * c - d,)),
+          (2.0 * poly(xp1, (3.0, 18.0, 3.0)), ()), (2.0 * xp1_22, (b,)), (2.0 * xp1_22, (c,))]
+    l2 = [(8.0 * poly(xp1, xm1_sq), (b / 2.0, c / 2.0, (2.0 * c - d) / 2.0)),
+          (16.0 * poly(xp1, xm1_sq), (b / 2.0, c / 2.0, d / 2.0))]
+    l3 = [(16.0 * ell * np.roll(poly(xm1_sq), 1), (b / 2.0, c / 2.0, (d - 2.0 * c) / 2.0))]  # times k
     r = 1.5 * SQRT3
     return (l1, l2, l3), ((1.0, -3.0, 0.0), (1.0, 1.5, r), (1.0, 1.5, -r))
 
@@ -358,24 +321,18 @@ def _kernel_series(spec: LatticeSpec):
 def _curvature_coefficients(spec: LatticeSpec):
     """Descending coefficients of the majorants M0, M+, M-, S0, S+, S-, one
     row each, padded with leading zeros to a common length (read-only)."""
-    kernels, weights = _kernel_series(spec)
-    frequency = lambda p, q: abs(p * spec.c + q * spec.d) / 2.0
-    w_max = max(frequency(*key) for series in kernels for key in series)
-    values = [_poly_add(*map(np.abs, series.values())) for series in kernels]
-    curvature, size = [], []
-    for row in weights:
-        series = _series_sum(*zip(row, kernels))
-        m = np.zeros(1)
-        for key, coeffs in series.items():
-            w, a = frequency(*key), np.abs(coeffs)
-            m = _poly_add(m, _poly_der(_poly_der(a)), 2.0 * w * _poly_der(a), w * w * a)
-        s = np.convolve(_poly_add(*(abs(wt) * v for wt, v in zip(row, values))), (1.0, w_max))
-        curvature.append(m[::-1])
-        size.append(s[::-1])
-    rows = curvature + size
-    out = np.zeros((len(rows), max(map(len, rows))))
-    for row, coeffs in zip(out, rows):
-        row[row.size - coeffs.size:] = coeffs
+    kernels, weights = _kernel_terms(spec)
+    der = lambda p: np.append(p[1:] * np.arange(1, p.size), 0.0)
+    w_max = max(sum(map(abs, w)) for terms in kernels for _, w in terms)
+    curvature, values = [], []
+    for terms in kernels:
+        moduli = [(np.abs(p), sum(wi * wi for wi in w)) for p, w in terms]
+        curvature.append(sum(der(der(a)) + 2.0 * math.sqrt(w2) * der(a) + w2 * a for a, w2 in moduli))
+        values.append(sum(a for a, _ in moduli))
+    rows = [sum(abs(wt) * m for wt, m in zip(row, curvature)) for row in weights]
+    # times 1 + w_max k, which the degree leaves room for
+    rows += [np.convolve(sum(abs(wt) * v for wt, v in zip(row, values)), (1.0, w_max))[:8] for row in weights]
+    out = np.array(rows)[:, ::-1].copy()
     out.flags.writeable = False
     return out
 
@@ -386,11 +343,12 @@ def bracket_curvature_bound(x, side, spec: LatticeSpec):
     Returns ((M0, M+, M-), (S0, S+, S-)) for the brackets l1 - 3 l2 and
     l1 + 1.5 (l2 +- sqrt(3) l3) (A - 3 C and A + 1.5 C, twice, for the
     triangular lattice), in the order of EXTREMAL_THETAS.  M_j bounds
-    |B_j''| on all of [0, x].  S_j is the error scale: the sum of the kernels'
-    value majorants, weighted by the bracket, times 1 + w_max x, the growth of
-    the rounding error of phases k w up to the largest frequency w_max; it
-    bounds |B_j| too.  Both are polynomials in x with nonnegative
-    coefficients, built once per spec.  The result is one array of shape
+    |B_j''| on all of [0, x].  S_j is the error scale: the sum of the |P| of
+    the bracket's terms (_kernel_terms), weighted by the moduli of its
+    weights, times 1 + w_max x, the growth of the rounding error of phases
+    k w up to the largest sum of a term's frequencies, w_max; it bounds |B_j|
+    too.  Both are polynomials in x with nonnegative coefficients, built once
+    per spec.  The result is one array of shape
     (2, 3) + shape(x), evaluated by Horner's rule as np.polyval would (leading
     zero coefficients leave it unchanged).  The negative side has no bound
     (None).

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from qglattice import asymptotics
 from qglattice.asymptotics import (
     equilateral_narrow_band,
     equilateral_negative_widths,
@@ -17,7 +18,7 @@ from qglattice.asymptotics import (
     triangular_star_collapse_function,
     comparison_rows,
 )
-from qglattice.bands import kagome_collapse_function, kagome_collapse_roots, scan_bands
+from qglattice.bands import InternalConsistencyError, kagome_collapse_function, kagome_collapse_roots, scan_bands
 from qglattice.kernels import GeometryError, LatticeSpec
 from qglattice.vertex import star_negative_eigenvalues
 
@@ -252,3 +253,9 @@ def test_comparison_rows_generic_kagome():
     assert [r[0] for r in rows] == [f"negative_center_E(limit={le:.6g})" for le in limits]
     assert len(rows) == 3
     assert all(r[3] < 1e-3 for r in rows)
+
+
+def test_narrow_pair_not_found_raises(monkeypatch):
+    monkeypatch.setattr(asymptotics, "_local_band", lambda *args: None)
+    with pytest.raises(InternalConsistencyError, match="narrow pair around k=.* not found"):
+        measure_narrow_pair(LatticeSpec.triangular(2.0, 1.0), 5)

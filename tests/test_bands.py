@@ -46,7 +46,7 @@ from qglattice.kernels import (
     tri_bracket_neg,
     tri_bracket_pos,
 )
-from qglattice.secular import _bracket_scale, oracle_in_spectrum, oracle_in_spectrum_many
+from qglattice.secular import SINE_ZERO_TOL, _bracket_scale, oracle_in_spectrum, oracle_in_spectrum_many
 
 SQRT3 = math.sqrt(3.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -79,6 +79,34 @@ def test_membership_matches_oracle():
     oracle = oracle_in_spectrum_many(ks, spec)
     mismatches = sum(in_band(k, "positive", spec) != member for k, member in zip(ks, oracle))
     assert mismatches == 0
+
+
+AUDIT_CASES = [
+    LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0),
+    LatticeSpec.equilateral(1.0),
+    LatticeSpec.kagome(0.7, 2.0, 0.5),
+    pytest.param(LatticeSpec.triangular(2.0), marks=pytest.mark.xfail(
+        strict=True, reason="sub-step gaps (ROADMAP item 1): 141 of 1131 band midpoints lie in a gap "
+                            "that the scan merged with the two narrow bands around it")),
+]
+
+
+@pytest.mark.parametrize("spec", AUDIT_CASES, ids=["kagome-golden", "equilateral", "kagome-0.7-2", "triangular"])
+def test_scan_midpoints_agree_with_oracle(spec):
+    # the midpoint of every reported continuous band must be in the spectrum
+    # and that of every gap between two bands outside it, by the determinant
+    # oracle, which shares no formula with the scan; the momenta that the
+    # oracle's sine rule decides are set aside (none below k = 1000 today)
+    lo, hi = np.array([(iv.k_lo, iv.k_hi) for iv in scan_bands(spec, "positive", 1000.0).continuous]).T
+    mids = np.concatenate([(lo + hi) / 2.0, (hi[:-1] + lo[1:]) / 2.0])
+    inside = np.arange(mids.size) < lo.size
+    lengths = (spec.c, spec.d, spec.b) if spec.is_kagome else (spec.d,)
+    half = np.multiply.outer(mids, lengths) / 2.0
+    audited = ~(np.abs(np.sin(half)) <= SINE_ZERO_TOL * np.maximum(1.0, half)).any(axis=-1)
+    assert lo.size > 700 and audited.sum() > 1400
+    wrong = oracle_in_spectrum_many(mids[audited], spec) != inside[audited]
+    assert not wrong.any(), (f"{(wrong & inside[audited]).sum()} band and {(wrong & ~inside[audited]).sum()} "
+                             f"gap midpoints of {audited.sum()} disagree with the oracle")
 
 
 def test_scan_is_deterministic():
@@ -318,6 +346,16 @@ def test_overflowing_negative_scan_raises(spec):
     # margin say nothing there, so the scan must stop instead of reading
     # those probes as out of band (or a NaN pair as a strip crossing)
     with pytest.raises(InternalConsistencyError, match="non-finite"):
+        scan_negative_bands(spec)
+
+
+@pytest.mark.parametrize("spec,runs", [(LatticeSpec.kagome(1.0, 3.0, 1.0), 4), (LatticeSpec.triangular(2.0, 1.0), 3)],
+                         ids=["kagome", "triangular"])
+def test_negative_scan_rejects_more_bands_than_the_bound(spec, runs, monkeypatch):
+    # at most three negative bands on a kagome lattice and two on a triangular one
+    found = np.array([(0.5 + i, 0.75 + i) for i in range(runs)])
+    monkeypatch.setattr(bands, "_scan_continuous", lambda *args: (found, False))
+    with pytest.raises(InternalConsistencyError, match=f"found {runs} bands, bound is {runs - 1}"):
         scan_negative_bands(spec)
 
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -290,3 +293,33 @@ def test_fixture_artifacts_regenerate_byte_for_byte(tmp_path):
         if out.read_bytes() != (FIXTURES / name).read_bytes():
             changed.append(name)
     assert not changed
+
+
+def _run_module(args, preexec_fn=None):
+    """`python -m qglattice.cli` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    # one BLAS thread, so that the interpreter reserves little address space of its own
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "qglattice.cli", *args], env=env, capture_output=True, text=True,
+                          preexec_fn=preexec_fn, timeout=120)
+
+
+def test_module_entry_point_exit_codes():
+    assert _run_module(["scattering", "--n", "3", "--k", "1"]).returncode == 0
+    assert _run_module(["scattering", "--n", "2", "--k", "1"]).returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["flatbands", "--kind", "kagome", "--c", "1", "--d", "3", "--k-max", "1e12"],
+    ["bands", "--kind", "kagome", "--c", "1", "--d", "3", "--k-max", "1e9", "--resolution", "1e5"],
+    ["scattering", "--n", "100000", "--k", "1"],
+], ids=["flatbands", "bands", "scattering"])
+def test_oversized_requests_fail_before_allocating(args):
+    # 3.2e11 and 3.2e8 flat-band momenta and a 1e5 x 1e5 matrix: each is
+    # rejected before numpy asks for the memory, so a 2 GB address space suffices
+    resource = pytest.importorskip("resource")
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    out = _run_module(args, preexec_fn=limit)
+    assert out.returncode == 2
+    assert any(line.startswith("error: ") for line in out.stderr.splitlines()) and "Traceback" not in out.stderr

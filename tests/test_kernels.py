@@ -358,6 +358,23 @@ def test_bracket_curvature_bound_against_mpmath(spec):
                 assert abs(values[j][i] - exact[j]) <= 1e-2 * BRACKET_RTOL * size[j][i]
 
 
+@pytest.mark.parametrize("spec", BOUND_CASES, ids=lambda s: f"{s.kind}-ell{s.ell:g}")
+def test_kernel_terms_are_the_kernels(spec):
+    # the bound's term table, with a cosine for every factor but l3's sines,
+    # and its bracket weights give the extremal brackets of the kernels
+    k = _log_uniform_momenta(23, 4000)
+    terms, weights = kernels._kernel_terms(spec)
+    values = [
+        sum(np.polynomial.polynomial.polyval(k, p)
+            * np.prod([(np.sin if spec.is_kagome and i == 2 else np.cos)(w * k) for w in ws], axis=0)
+            for p, ws in kernel)
+        for i, kernel in enumerate(terms)
+    ]
+    size = bracket_curvature_bound(k, "positive", spec)[1]
+    for row, bracket_j, s in zip(weights, _brackets(k, spec), size):
+        assert (np.abs(sum(w * v for w, v in zip(row, values)) - bracket_j) <= 1e-13 * s).all()
+
+
 # --------------------------------------------------------------------------
 # geometry validation
 
@@ -376,6 +393,11 @@ def test_lattice_spec_validation():
     assert LatticeSpec.kagome(1.0, 2.0, 1.0).kind == "equilateral_kagome"
     assert LatticeSpec("kagome", 1.0, 2.0, 1.0).kind == "equilateral_kagome"
     assert LatticeSpec.kagome(1.0, 3.0, 1.0).b == 2.0
+
+
+def test_lattice_spec_rejects_unknown_kind():
+    with pytest.raises(GeometryError, match="unknown lattice kind 'hexagonal'"):
+        LatticeSpec("hexagonal", 1.0, 2.0, 1.0)
 
 
 def test_kernel_kind_and_coefficient_guards():
