@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class InternalConsistencyError(RuntimeError):
     """A scan violated a proven structural bound or met a non-finite bracket (signals a defect)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralInterval:
     """One band [k_lo, k_hi] on the momentum axis (kappa on the negative side)."""
 
@@ -124,15 +124,55 @@ class FlatBand:
     embedded: bool
 
 
+#: Band types by code, as BandStructure.kinds holds them.
+BAND_TYPES = ("continuous", "flat", "degenerate_point")
+
+
 @dataclass
 class BandStructure:
-    """Ordered scan result for one side of the spectrum."""
+    """Ordered scan result for one side of the spectrum.
+
+    The bands are arrays in interval order, sorted by (k_lo, k_hi): `k_lo`,
+    `k_hi` and `kinds` (indices into BAND_TYPES), with `hi_trunc` true when
+    the last continuous band holds the scan's last probe.  A scan passes
+    them with `intervals=None`: the SpectralInterval list, with the edge-theta
+    labels of its continuous bands, is then built on first access and kept.
+    Built from an `intervals` list, the arrays are read from it.
+    """
 
     spec: LatticeSpec
     side: str
-    intervals: list
+    intervals: list | None
     scan_k_max: float
     resolution: float
+    k_lo: np.ndarray = field(default=None, repr=False, compare=False)
+    k_hi: np.ndarray = field(default=None, repr=False, compare=False)
+    kinds: np.ndarray = field(default=None, repr=False, compare=False)
+    hi_trunc: bool = field(default=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.intervals is None:
+            del self.intervals  # built by __getattr__ on first access
+        else:
+            self.k_lo, self.k_hi = np.array([(iv.k_lo, iv.k_hi) for iv in self.intervals], float).reshape(-1, 2).T
+            self.kinds = np.array([BAND_TYPES.index(iv.band_type) for iv in self.intervals], np.uint8)
+
+    def __getattr__(self, name):
+        # called only for an attribute not set: intervals until first built
+        if name != "intervals":
+            raise AttributeError(name)
+        # label every solved continuous edge (None at zero and at the scan cutoff)
+        # in one evaluation: 0 for None, else 1 + the index of the bracket nearest zero
+        edges, cont = np.column_stack((self.k_lo, self.k_hi)), self.kinds == 0
+        solved = (edges != 0.0) & cont[:, None]
+        if self.hi_trunc:
+            solved[np.flatnonzero(cont)[-1], 1] = False
+        which = np.zeros(edges.shape, np.intp)
+        which[solved] = 1 + np.argmin(np.abs(np.array(_extremal_brackets(edges[solved], self.side, self.spec))), axis=0)
+        labels = (None, *EXTREMAL_THETAS)
+        self.intervals = [SpectralInterval(lo, hi, self.side, BAND_TYPES[t], labels[a], labels[b]) for lo, hi, t, (a, b)
+                          in zip(self.k_lo.tolist(), self.k_hi.tolist(), self.kinds.tolist(), which.tolist())]
+        return self.intervals
 
     @property
     def continuous(self) -> list:
@@ -144,29 +184,18 @@ class BandStructure:
 
     def csv_rows(self):
         """Rows matching the header side,band_index,type,k_lo,k_hi,E_lo,E_hi."""
-        rows = []
-        for i, iv in enumerate(self.intervals, start=1):
-            rows.append((self.side, i, iv.band_type, iv.k_lo, iv.k_hi, iv.energy_lo, iv.energy_hi))
-        return rows
+        return [(self.side, i, iv.band_type, iv.k_lo, iv.k_hi, iv.energy_lo, iv.energy_hi)
+                for i, iv in enumerate(self.intervals, start=1)]
 
     def to_dict(self):
         return {
             "spec": {"kind": self.spec.kind, "c": self.spec.c, "d": self.spec.d, "ell": self.spec.ell},
-            "side": self.side,
-            "scan_k_max": self.scan_k_max,
-            "resolution": self.resolution,
-            "edge_tolerance": EDGE_RTOL,
+            "side": self.side, "scan_k_max": self.scan_k_max, "resolution": self.resolution, "edge_tolerance": EDGE_RTOL,
             "intervals": [
-                {
-                    "band_index": i,
-                    "type": iv.band_type,
-                    "k_lo": iv.k_lo,
-                    "k_hi": iv.k_hi,
-                    "E_lo": iv.energy_lo,
-                    "E_hi": iv.energy_hi,
-                    "edge_theta_lo": list(iv.edge_theta_lo) if iv.edge_theta_lo else None,
-                    "edge_theta_hi": list(iv.edge_theta_hi) if iv.edge_theta_hi else None,
-                }
+                {"band_index": i, "type": iv.band_type, "k_lo": iv.k_lo, "k_hi": iv.k_hi,
+                 "E_lo": iv.energy_lo, "E_hi": iv.energy_hi,
+                 "edge_theta_lo": list(iv.edge_theta_lo) if iv.edge_theta_lo else None,
+                 "edge_theta_hi": list(iv.edge_theta_hi) if iv.edge_theta_hi else None}
                 for i, iv in enumerate(self.intervals, start=1)
             ],
         }
@@ -345,32 +374,32 @@ def _limit_membership(ks, side, spec):
 def _flat_momenta(spec: LatticeSpec, k_max: float) -> list:
     """Momenta of the positive-side flat bands up to k_max (flat_bands), as
     (family, ascending momenta) pairs.  Raises ValueError, before allocating,
-    when a family would hold more than MAX_PROBES momenta."""
+    when the families together would hold more than MAX_PROBES momenta."""
     top = k_max * (1.0 + 1e-15)
-
-    def series(k_of_n, n_max):
-        # k_of_n increases with n and exceeds top at n_max
-        if n_max > MAX_PROBES:
-            raise ValueError(f"about {n_max:.3g} flat-band momenta up to k_max = {k_max:g}, "
-                             f"the limit is {MAX_PROBES:.0e}")
-        ks = k_of_n(np.arange(1, n_max + 1))
-        return ks[ks <= top]
-
-    multiples = lambda step: (lambda n: n * step, int(top / step) + 2)
+    # (family, k_of_n, n_max): k_of_n increases with n and exceeds top at n_max
+    multiples = lambda family, step: (family, lambda n: n * step, int(top / step) + 2)
     if spec.kind == "kagome":
-        out = [(family, series(*multiples(2.0 * math.pi / L)))
-               for family, L in (("b_family", spec.b), ("c_family", spec.c), ("d_family", spec.d))]
+        series = [multiples(family, 2.0 * math.pi / L)
+                  for family, L in (("b_family", spec.b), ("c_family", spec.c), ("d_family", spec.d))]
         lengths = (spec.c, spec.b, spec.d)
     elif spec.kind == "equilateral_kagome":
         star = lambda n: (6 * n - 3 + np.where(n % 2 == 1, 1, -1)) * math.pi / (6.0 * spec.c)
-        out = [("equilateral_merged", series(*multiples(math.pi / spec.c))),
-               ("david_star", series(star, int(top * spec.c / math.pi) + 2))]
+        series = [multiples("equilateral_merged", math.pi / spec.c),
+                  ("david_star", star, int(top * spec.c / math.pi) + 2)]
         lengths = (spec.d,)
     elif spec.kind == "triangular":
-        out = [("d_family", series(*multiples(2.0 * math.pi / spec.d)))]
+        series = [multiples("d_family", 2.0 * math.pi / spec.d)]
         lengths = (spec.d,)
     else:  # pragma: no cover
         raise GeometryError(f"unknown lattice kind {spec.kind!r}")
+    total = sum(n_max for _, _, n_max in series)
+    if total > MAX_PROBES:
+        raise ValueError(f"about {total:.3g} flat-band momenta up to k_max = {k_max:g}, "
+                         f"the limit is {MAX_PROBES:.0e}")
+    out = []
+    for family, k_of_n, n_max in series:
+        ks = k_of_n(np.arange(1, n_max + 1))
+        out.append((family, ks[ks <= top]))
     if 1.0 / spec.ell <= k_max and any(_is_degenerate_length(L, spec.ell) for L in lengths):
         out.append(("degenerate_point", np.array([1.0 / spec.ell])))
     return out
@@ -679,12 +708,13 @@ def _band_runs(probes, bits, values, side, spec: LatticeSpec, first: float) -> t
     brackets, equal unless the lattice is generic kagome (l3 = 0 at d = 2c),
     give one event that toggles both their bits.  Each event is solved
     (_brent_vec, from the bracket's values at its two probes) and rounded
-    to EDGE_BITS; a walk in momentum order restarts from each pair's
-    left-probe bits and opens or closes a band where the state enters or
-    leaves the strip; a band that opens within EDGE_RTOL max(1, k) of the
-    last close reopens the last band.  A band holding the
-    first probe starts at `first`; hi_trunc is true when the last band holds
-    the last probe.
+    to EDGE_BITS.  In momentum order, the state after an event is its pair's
+    left-probe bits xor the pair's toggles up to it; a band opens or closes
+    where the state enters or leaves the strip, and a close followed by an
+    open within EDGE_RTOL max(1, k) is dropped, so that the band goes on
+    (a chain of such pairs makes one band).  A band holding the first probe
+    starts at `first`; hi_trunc is true when the last band holds the last
+    probe.
     """
     flips = bits[1:] ^ bits[:-1]
     # a lone flip between two in-band probes (common bits not 0, joint bits not 7)
@@ -696,21 +726,15 @@ def _band_runs(probes, bits, values, side, spec: LatticeSpec, first: float) -> t
     order = np.lexsort((which, zeros, pair))
     mant, exp = np.frexp(zeros[order])
     edges = np.ldexp(np.round(np.ldexp(mant, EDGE_BITS)), exp - EDGE_BITS)
-    runs, start, last = [], first if int(bits[0]) not in (0, 7) else None, -1
-    pairs = pair[order]
-    for p, b, t, z in zip(pairs.tolist(), bits[pairs].tolist(), toggles[which[order]].tolist(), edges.tolist()):
-        if p != last:
-            state, last = b, p
-        state ^= t
-        inside = state not in (0, 7)
-        if inside and start is None:
-            start = runs.pop()[0] if runs and z <= runs[-1][1] + EDGE_RTOL * max(1.0, z) else z
-        elif not inside and start is not None:
-            runs.append((start, z))
-            start = None
-    if start is not None:
-        runs.append((start, float(probes[-1])))
-    return np.array(runs, dtype=float).reshape(-1, 2), start is not None
+    pair = pair[order]
+    # xor of all toggles before each event and up to it; a pair's first event restarts from its bits
+    acc = np.bitwise_xor.accumulate(np.append(np.uint8(0), toggles[which[order]]))
+    state = bits[pair] ^ acc[1:] ^ acc[np.searchsorted(pair, pair)]
+    inside = np.append(int(bits[0]) not in (0, 7), (state != 0) & (state != 7))
+    lo = np.concatenate(([first] if inside[0] else [], edges[inside[1:] > inside[:-1]]))
+    hi = np.concatenate((edges[inside[1:] < inside[:-1]], [probes[-1]] if inside[-1] else []))
+    merged = np.flatnonzero(lo[1:] <= hi[:-1] + EDGE_RTOL * np.maximum(1.0, lo[1:]))
+    return np.column_stack((np.delete(lo, merged + 1), np.delete(hi, merged))), bool(inside[-1])
 
 
 def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: float):
@@ -775,13 +799,10 @@ def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
         raise ValueError(f"k_max / resolution = {k_max / resolution:.3g} probes, the limit is {MAX_PROBES:.0e}")
     # negative bands are kept by their seeds, not by the grid step
     if side == "positive" and resolution > math.pi / (20.0 * spec.d):
-        warnings.warn(
-            f"resolution {resolution:g} is coarser than pi/(20 d); narrow bands may degrade",
-            stacklevel=2,
-        )
+        warnings.warn(f"resolution {resolution:g} is coarser than pi/(20 d); narrow bands may degrade", stacklevel=2)
 
     # families by name, so that the stable sort below puts flat bands in (k, family) order;
-    # built before the scan, so that a family too large to hold fails first
+    # built before the scan, so that too many flat momenta to hold fail first
     if side == "negative":
         families = [(fb.family, np.array([fb.k])) for fb in negative_flat_bands(spec) if fb.k <= k_max]
     else:
@@ -797,35 +818,18 @@ def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
         points = np.concatenate(points)
         for i in np.flatnonzero(runs[:, 1] - runs[:, 0] < 1e-10 * np.maximum(1.0, runs[:, 1])):
             keep[i] = not (np.abs(0.5 * (runs[i, 0] + runs[i, 1]) - points) < 1e-8 * np.maximum(1.0, points)).any()
-    if not keep.all():
-        runs, hi_trunc = runs[keep], hi_trunc and keep[-1]
-    if side == "negative":
-        bound = 2 if spec.kind == "triangular" else 3
-        if len(runs) > bound:
-            raise InternalConsistencyError(f"{spec.kind} negative scan found {len(runs)} bands, bound is {bound}")
+    runs, hi_trunc = runs[keep], hi_trunc and keep[-1]
+    bound = 2 if spec.kind == "triangular" else 3
+    if side == "negative" and len(runs) > bound:
+        raise InternalConsistencyError(f"{spec.kind} negative scan found {len(runs)} bands, bound is {bound}")
 
-    # label every solved edge (None at zero and at the scan cutoff) in one
-    # evaluation: 0 for None, else 1 + the index of the bracket nearest zero
-    solved = runs != 0.0
-    if hi_trunc:
-        solved[-1, 1] = False
-    which = np.zeros(runs.shape, np.intp)
-    which[solved] = 1 + np.argmin(np.abs(np.array(_extremal_brackets(runs[solved], side, spec))), axis=0)
-    labels = (None, *EXTREMAL_THETAS)
-
-    flat_k = np.concatenate([ks for _, ks in families]) if families else np.empty(0)
-    band_type = ["continuous"] * len(runs)
-    for family, ks in families:
-        band_type += ["degenerate_point" if family == "degenerate_point" else "flat"] * ks.size
-    theta_lo = [labels[i] for i in which[:, 0].tolist()] + [None] * flat_k.size
-    theta_hi = [labels[i] for i in which[:, 1].tolist()] + [None] * flat_k.size
+    kinds = np.concatenate([np.zeros(len(runs), np.uint8)]
+                           + [np.full(ks.size, 1 + (family == "degenerate_point"), np.uint8) for family, ks in families])
     # one stable sort by (k_lo, k_hi): continuous bands first at equal keys
-    lo, hi = np.concatenate([runs[:, 0], flat_k]), np.concatenate([runs[:, 1], flat_k])
-    order = np.lexsort((hi, lo)).tolist()
-    lo, hi = lo.tolist(), hi.tolist()
-    intervals = [SpectralInterval(lo[i], hi[i], side, band_type[i], theta_lo[i], theta_hi[i]) for i in order]
-    return BandStructure(spec=spec, side=side, intervals=intervals,
-                         scan_k_max=k_max, resolution=resolution)
+    lo, hi = (np.concatenate([edges, *(ks for _, ks in families)]) for edges in runs.T)
+    order = np.lexsort((hi, lo))
+    return BandStructure(spec=spec, side=side, intervals=None, scan_k_max=k_max, resolution=resolution,
+                         k_lo=lo[order], k_hi=hi[order], kinds=kinds[order], hi_trunc=hi_trunc)
 
 
 def scan_negative_bands(spec: LatticeSpec, kappa_max: float | None = None,

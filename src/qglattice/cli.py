@@ -97,16 +97,12 @@ def _emit_bands(bs, args) -> None:
 
 
 def _cmd_bands(args) -> int:
-    spec = _spec_from_args(args)
-    bs = scan_bands(spec, "positive", args.k_max, args.resolution)
-    _emit_bands(bs, args)
+    _emit_bands(scan_bands(_spec_from_args(args), "positive", args.k_max, args.resolution), args)
     return 0
 
 
 def _cmd_negative(args) -> int:
-    spec = _spec_from_args(args)
-    bs = scan_negative_bands(spec, args.kappa_max, args.resolution)
-    _emit_bands(bs, args)
+    _emit_bands(scan_negative_bands(_spec_from_args(args), args.kappa_max, args.resolution), args)
     return 0
 
 

@@ -52,8 +52,10 @@ class ProbabilityEstimate:
 def band_measure(bands: BandStructure, K_energy: float) -> ProbabilityEstimate:
     """Lebesgue measure of the continuous bands in [0, K_energy], over K_energy.
 
-    Flat bands and point-degenerate bands have measure zero and do not
-    contribute.  The scan must reach momentum sqrt(K_energy).
+    Integrated from the band arrays (BandStructure.k_lo, k_hi and kinds), no
+    interval built, squared as SpectralInterval squares (k ** 2, which can
+    differ from numpy's k * k in the last bit).  Flat and point-degenerate
+    bands have measure zero.  The scan must reach momentum sqrt(K_energy).
     """
     _require_positive("K_energy", K_energy)
     if bands.side != "positive":
@@ -63,10 +65,8 @@ def band_measure(bands: BandStructure, K_energy: float) -> ProbabilityEstimate:
             f"scan reaches k={bands.scan_k_max:g} (E={bands.scan_k_max ** 2:g}) "
             f"but the cutoff is E={K_energy:g}"
         )
-    # the energies as SpectralInterval computes them (k ** 2, which can differ
-    # from numpy's k * k in the last bit)
-    energy = np.array([(iv.energy_lo, iv.energy_hi) for iv in bands.continuous]).reshape(-1, 2)
-    lengths = np.maximum(0.0, np.minimum(energy[:, 1], K_energy) - np.maximum(energy[:, 0], 0.0))
+    lo, hi = ([k ** 2 for k in edges[bands.kinds == 0].tolist()] for edges in (bands.k_lo, bands.k_hi))
+    lengths = np.maximum(0.0, np.minimum(hi, K_energy) - np.maximum(lo, 0.0))
     total = float(np.sum(lengths))
     return ProbabilityEstimate(value=total / K_energy, method="finite_scan",
                                spec=bands.spec, K=K_energy)

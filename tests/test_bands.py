@@ -14,6 +14,7 @@ import scipy.optimize
 
 from qglattice import bands, blocks
 from qglattice.bands import (
+    BandStructure,
     InternalConsistencyError,
     _extremal_brackets,
     _margin,
@@ -31,7 +32,7 @@ from qglattice.bands import (
     spectral_threshold,
 )
 from qglattice.asymptotics import equilateral_narrow_band, measure_narrow_pair, triangular_narrow_band
-from qglattice.probability import finite_scan_probability
+from qglattice.probability import band_measure, finite_scan_probability
 from qglattice.kernels import (
     EXTREMAL_THETAS,
     GeometryError,
@@ -1155,9 +1156,9 @@ def test_sign_bits_agree_with_the_margin_at_every_kept_probe(monkeypatch):
     LatticeSpec.kagome(1.0, 3.0, 1.0), LatticeSpec.triangular(2.0, 1.0), LatticeSpec.equilateral(1.0, 1.0),
 ], ids=["kagome", "triangular", "equilateral"])
 def test_negative_scan_makes_few_kernel_calls(spec, monkeypatch):
-    # one call for the probes, one for the ends of every edge bracket, one per
-    # Brent step of the slowest edge and one for the edge labels (28-29 calls
-    # when every edge was bisected 26 times)
+    # one call for the probes, one for the ends of every edge bracket and one
+    # per Brent step of the slowest edge; the edge labels wait for the first
+    # access to the intervals (28-29 calls when every edge was bisected 26 times)
     calls = []
     inner = bands._extremal_brackets
     monkeypatch.setattr(bands, "_extremal_brackets", lambda x, side, s: calls.append(np.size(x)) or inner(x, side, s))
@@ -1216,3 +1217,121 @@ def test_csv_rows_and_dict_shapes():
     neg = scan_negative_bands(spec)
     for iv in neg.continuous:
         assert iv.energy_lo <= iv.energy_hi <= 0.0
+
+
+def _band_runs_by_loop(probes, bits, values, side, spec, first):
+    # bands._band_runs as it was before its walk became array code: one
+    # Python step per edge event; also returns the longest chain of close/open
+    # pairs that one band absorbed (the runs.pop() reopenings)
+    flips = bits[1:] ^ bits[:-1]
+    flips[((flips & (flips - 1)) == 0) & ((bits[1:] & bits[:-1]) != 0) & ((bits[1:] | bits[:-1]) != 7)] = 0
+    toggles = np.array([1, 2, 4] if spec.kind == "kagome" else [1, 6], np.uint8)
+    pair, which = np.nonzero(flips[:, None] & toggles)
+    zeros = bands._brent_vec(lambda xs, i: np.choose(which[i], _extremal_brackets(xs, side, spec)),
+                             probes[pair], probes[pair + 1], values[which, pair], values[which, pair + 1])
+    order = np.lexsort((which, zeros, pair))
+    mant, exp = np.frexp(zeros[order])
+    edges = np.ldexp(np.round(np.ldexp(mant, bands.EDGE_BITS)), exp - bands.EDGE_BITS)
+    runs, start, last = [], first if int(bits[0]) not in (0, 7) else None, -1
+    chain = longest = 0
+    pairs = pair[order]
+    for p, b, t, z in zip(pairs.tolist(), bits[pairs].tolist(), toggles[which[order]].tolist(), edges.tolist()):
+        if p != last:
+            state, last = b, p
+        state ^= t
+        inside = state not in (0, 7)
+        if inside and start is None:
+            if runs and z <= runs[-1][1] + bands.EDGE_RTOL * max(1.0, z):
+                start, chain = runs.pop()[0], chain + 1
+                longest = max(longest, chain)
+            else:
+                start, chain = z, 0
+        elif not inside and start is not None:
+            runs.append((start, z))
+            start = None
+    if start is not None:
+        runs.append((start, float(probes[-1])))
+    return np.array(runs, dtype=float).reshape(-1, 2), start is not None, longest
+
+
+@pytest.mark.parametrize("spec", [LatticeSpec.kagome(1.0, 3.0, 1.0), LatticeSpec.triangular(2.0, 1.0),
+                                  LatticeSpec.equilateral(1.0, 1.0)], ids=["kagome", "triangular", "equilateral"])
+def test_array_walk_equals_the_event_loop(spec, monkeypatch):
+    # seeded synthetic scans: random sign bits (the two corner bits equal
+    # unless generic kagome), probe gaps from 1e-13 to 1e-1 relative, so that
+    # neighbouring events fall within EDGE_RTOL and chain, and edge solves
+    # replaced by points on a coarse grid of each bracket, so that events of
+    # one pair share a zero and sort by which bracket they belong to
+    seen = {"first": 0, "hi_trunc": 0, "chain": 0, "tie": 0}
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        k0 = float(rng.choice([1e-3, 0.7, 40.0, 3e4]))
+        probes = k0 * (1.0 + np.cumsum(10.0 ** rng.uniform(-13.0, -1.0, n)))
+        if spec.kind == "kagome":
+            bits = rng.integers(0, 8, n).astype(np.uint8)
+        else:
+            bits = (rng.integers(0, 2, n) | 6 * rng.integers(0, 2, n)).astype(np.uint8)
+        first = float(rng.choice([0.0, probes[0]]))
+        solved = []
+
+        def solve(fn, a, b, fa, fb):
+            u = np.random.default_rng(seed).choice([0.0, 0.25, 0.5, 0.5, 1.0], a.size)
+            solved.append(a + u * (b - a))
+            return solved[-1]
+
+        monkeypatch.setattr(bands, "_brent_vec", solve)
+        want_runs, want_trunc, longest = _band_runs_by_loop(probes, bits, np.zeros((3, n)), "positive", spec, first)
+        runs, hi_trunc = bands._band_runs(probes, bits, np.zeros((3, n)), "positive", spec, first)
+        assert runs.tolist() == want_runs.tolist() and hi_trunc == want_trunc, seed
+        seen["first"] += bool(bits[0] not in (0, 7) and len(runs))
+        seen["hi_trunc"] += want_trunc
+        seen["chain"] += longest >= 2
+        seen["tie"] += len(set(solved[0].tolist())) < solved[0].size
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("spec", [LatticeSpec.kagome(1.0, 3.0, 1.0), LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0),
+                                  LatticeSpec.equilateral(1.0, 1.0), LatticeSpec.triangular(2.0, 1.0)],
+                         ids=["kagome", "phi", "equilateral", "triangular"])
+@pytest.mark.parametrize("side", ["positive", "negative"])
+def test_lazy_band_structure_equals_one_built_from_intervals(spec, side):
+    # a scan keeps arrays and builds its SpectralInterval list on first access;
+    # a BandStructure built from that list reads the same arrays back
+    scan = lambda: scan_bands(spec, "positive", 60.0) if side == "positive" else scan_negative_bands(spec)
+    lazy, listed = scan(), scan()
+    built = BandStructure(spec=spec, side=side, intervals=list(listed.intervals),
+                          scan_k_max=listed.scan_k_max, resolution=listed.resolution)
+    if side == "positive":
+        assert band_measure(lazy, 3000.0).value == band_measure(built, 3000.0).value
+    assert "intervals" not in vars(lazy)
+    for name in ("k_lo", "k_hi", "kinds"):
+        assert getattr(lazy, name).tolist() == getattr(built, name).tolist(), name
+    assert lazy.intervals == built.intervals and lazy == built
+    assert lazy.continuous == built.continuous and lazy.flat == built.flat
+    assert lazy.csv_rows() == built.csv_rows() and lazy.to_dict() == built.to_dict()
+    assert len(lazy.continuous) >= 2 and (side == "negative" or len(lazy.flat) >= 2)
+
+
+def test_finite_scan_builds_no_interval_and_no_edge_label(monkeypatch):
+    # the band measure reads the scan's arrays: no SpectralInterval is made
+    # and the edge labels (the kernel call of the interval build) are not
+    # evaluated until the intervals are first asked for, once
+    made, label_calls = [], []
+    interval, brackets = bands.SpectralInterval, bands._extremal_brackets
+
+    def counted_brackets(x, side, spec):
+        if sys._getframe(1).f_code.co_name == "__getattr__":  # BandStructure's interval build
+            label_calls.append(np.size(x))
+        return brackets(x, side, spec)
+
+    monkeypatch.setattr(bands, "SpectralInterval", lambda *args: made.append(1) or interval(*args))
+    monkeypatch.setattr(bands, "_extremal_brackets", counted_brackets)
+    spec = LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0)
+    finite_scan_probability(spec, 1e6)
+    assert not made and not label_calls
+    bs = scan_bands(spec, "positive", 1e3)
+    assert not made and not label_calls
+    bs.to_dict()
+    bs.csv_rows()
+    assert len(made) == len(bs.intervals) > 1000 and len(label_calls) == 1

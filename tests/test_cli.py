@@ -330,12 +330,14 @@ def test_module_entry_point_exit_codes():
 
 @pytest.mark.parametrize("args", [
     ["flatbands", "--kind", "kagome", "--c", "1", "--d", "3", "--k-max", "1e12"],
+    ["flatbands", "--kind", "kagome", "--c", "1", "--d", "3", "--k-max", "2e8"],
     ["bands", "--kind", "kagome", "--c", "1", "--d", "3", "--k-max", "1e9", "--resolution", "1e5"],
     ["scattering", "--n", "100000", "--k", "1"],
-], ids=["flatbands", "bands", "scattering"])
+], ids=["flatbands", "flatbands-total", "bands", "scattering"])
 def test_oversized_requests_fail_before_allocating(args):
-    # 3.2e11 and 3.2e8 flat-band momenta and a 1e5 x 1e5 matrix: each is
-    # rejected before numpy asks for the memory, so a 2 GB address space suffices
+    # 3.2e11 and 3.2e8 flat-band momenta, 1.9e8 in three families of fewer than
+    # 1e8 each, and a 1e5 x 1e5 matrix: each is rejected before numpy asks for
+    # the memory, so a 2 GB address space suffices
     resource = pytest.importorskip("resource")
     limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
     out = _run_module(args, preexec_fn=limit)

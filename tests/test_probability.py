@@ -85,6 +85,12 @@ def test_finite_scan_values_pinned(spec, value):
     assert finite_scan_probability(spec, 1e6).value == value
 
 
+def test_finite_scan_value_pinned_at_1e8():
+    # the paper's headline lattice at K = 1e8: about 6000 continuous bands,
+    # each edge squared with Python's k ** 2 from the scan's arrays
+    assert finite_scan_probability(LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0), 1e8).value == 0.6391667026031539
+
+
 def test_torus_estimate_value():
     est = torus_probability(LatticeSpec.kagome(1.0, GOLDEN, 1.0), grid_n=500)
     assert est.value == pytest.approx(0.639081, abs=1e-2)
