@@ -12,7 +12,8 @@ probes, their values.  Each bracket that changes sign between neighbouring
 probes gives an edge event, solved on its own by Brent's method from the
 values at its two probes to the bracket's float root (rounded to
 EDGE_BITS): many events step together in numpy, a few on Python floats.
-One walk in momentum order opens and closes the bands.  Between two
+One walk in momentum order opens and closes the bands, and labels each
+edge with the extremal quasimomentum of its event's bracket.  Between two
 out-of-band probes the events recover a band narrower than the grid step
 (the first kernel crossing the whole strip), so bands that collapse
 exponentially with the cell size need no special resolution; between two
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -88,7 +90,10 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class SpectralInterval:
-    """One band [k_lo, k_hi] on the momentum axis (kappa on the negative side)."""
+    """One band [k_lo, k_hi] on the momentum axis (kappa on the negative side).
+
+    `edge_theta_lo/hi` name the EXTREMAL_THETAS point whose bracket's sign change (edge event)
+    made the edge, so it vanishes there; None at the scan's start, at its cutoff and on flat bands."""
 
     k_lo: float
     k_hi: float
@@ -128,51 +133,36 @@ class FlatBand:
 BAND_TYPES = ("continuous", "flat", "degenerate_point")
 
 
-@dataclass
+@dataclass(eq=False)
 class BandStructure:
     """Ordered scan result for one side of the spectrum.
 
     The bands are arrays in interval order, sorted by (k_lo, k_hi): `k_lo`,
-    `k_hi` and `kinds` (indices into BAND_TYPES), with `hi_trunc` true when
-    the last continuous band holds the scan's last probe.  A scan passes
-    them with `intervals=None`: the SpectralInterval list, with the edge-theta
-    labels of its continuous bands, is then built on first access and kept.
-    Built from an `intervals` list, the arrays are read from it.
+    `k_hi`, `kinds` (indices into BAND_TYPES) and `edge_labels`, a (lo, hi)
+    row per band of indices into (None, *EXTREMAL_THETAS) (_band_runs).
+    The SpectralInterval list is built from them on first access and kept.
+    Structures are equal when their fields are, the arrays element by element.
     """
 
     spec: LatticeSpec
     side: str
-    intervals: list | None
     scan_k_max: float
     resolution: float
-    k_lo: np.ndarray = field(default=None, repr=False, compare=False)
-    k_hi: np.ndarray = field(default=None, repr=False, compare=False)
-    kinds: np.ndarray = field(default=None, repr=False, compare=False)
-    hi_trunc: bool = field(default=False, repr=False, compare=False)
+    k_lo: np.ndarray = field(repr=False)
+    k_hi: np.ndarray = field(repr=False)
+    kinds: np.ndarray = field(repr=False)
+    edge_labels: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if self.intervals is None:
-            del self.intervals  # built by __getattr__ on first access
-        else:
-            self.k_lo, self.k_hi = np.array([(iv.k_lo, iv.k_hi) for iv in self.intervals], float).reshape(-1, 2).T
-            self.kinds = np.array([BAND_TYPES.index(iv.band_type) for iv in self.intervals], np.uint8)
+    def __eq__(self, other):
+        if not isinstance(other, BandStructure):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
-    def __getattr__(self, name):
-        # called only for an attribute not set: intervals until first built
-        if name != "intervals":
-            raise AttributeError(name)
-        # label every solved continuous edge (None at zero and at the scan cutoff)
-        # in one evaluation: 0 for None, else 1 + the index of the bracket nearest zero
-        edges, cont = np.column_stack((self.k_lo, self.k_hi)), self.kinds == 0
-        solved = (edges != 0.0) & cont[:, None]
-        if self.hi_trunc:
-            solved[np.flatnonzero(cont)[-1], 1] = False
-        which = np.zeros(edges.shape, np.intp)
-        which[solved] = 1 + np.argmin(np.abs(np.array(_extremal_brackets(edges[solved], self.side, self.spec))), axis=0)
-        labels = (None, *EXTREMAL_THETAS)
-        self.intervals = [SpectralInterval(lo, hi, self.side, BAND_TYPES[t], labels[a], labels[b]) for lo, hi, t, (a, b)
-                          in zip(self.k_lo.tolist(), self.k_hi.tolist(), self.kinds.tolist(), which.tolist())]
-        return self.intervals
+    @cached_property
+    def intervals(self) -> list:
+        thetas = (None, *EXTREMAL_THETAS)
+        return [SpectralInterval(lo, hi, self.side, BAND_TYPES[t], thetas[a], thetas[b]) for lo, hi, t, (a, b)
+                in zip(self.k_lo.tolist(), self.k_hi.tolist(), self.kinds.tolist(), self.edge_labels.tolist())]
 
     @property
     def continuous(self) -> list:
@@ -701,7 +691,8 @@ def kagome_collapse_roots(spec: LatticeSpec) -> tuple:
 
 def _band_runs(probes, bits, values, side, spec: LatticeSpec, first: float) -> tuple:
     """Bands of sorted probes with their sign bits (in band unless 0 or 7) and
-    extremal brackets (_strip_step): sorted (k_lo, k_hi) rows, and hi_trunc.
+    extremal brackets (_strip_step): sorted (k_lo, k_hi) rows, and a (lo, hi)
+    row of edge labels per band.
 
     Each bracket that changes sign between neighbouring probes gives an edge
     event, except a lone change between two in-band probes; the corner
@@ -713,8 +704,9 @@ def _band_runs(probes, bits, values, side, spec: LatticeSpec, first: float) -> t
     where the state enters or leaves the strip, and a close followed by an
     open within EDGE_RTOL max(1, k) is dropped, so that the band goes on
     (a chain of such pairs makes one band).  A band holding the first probe
-    starts at `first`; hi_trunc is true when the last band holds the last
-    probe.
+    starts at `first`, one holding the last probe ends there.  An edge's label
+    is 0 there, else 1 + the EXTREMAL_THETAS index of its event's bracket (1
+    for the corner pair); a chain keeps its first open's and last close's.
     """
     flips = bits[1:] ^ bits[:-1]
     # a lone flip between two in-band probes (common bits not 0, joint bits not 7)
@@ -724,21 +716,25 @@ def _band_runs(probes, bits, values, side, spec: LatticeSpec, first: float) -> t
     zeros = _brent_vec(lambda xs, i: np.choose(which[i], _extremal_brackets(xs, side, spec)),
                        probes[pair], probes[pair + 1], values[which, pair], values[which, pair + 1])
     order = np.lexsort((which, zeros, pair))
-    mant, exp = np.frexp(zeros[order])
-    edges = np.ldexp(np.round(np.ldexp(mant, EDGE_BITS)), exp - EDGE_BITS)
-    pair = pair[order]
+    pair, which = pair[order], which[order]
     # xor of all toggles before each event and up to it; a pair's first event restarts from its bits
-    acc = np.bitwise_xor.accumulate(np.append(np.uint8(0), toggles[which[order]]))
+    acc = np.bitwise_xor.accumulate(np.append(np.uint8(0), toggles[which]))
     state = bits[pair] ^ acc[1:] ^ acc[np.searchsorted(pair, pair)]
-    inside = np.append(int(bits[0]) not in (0, 7), (state != 0) & (state != 7))
-    lo = np.concatenate(([first] if inside[0] else [], edges[inside[1:] > inside[:-1]]))
-    hi = np.concatenate((edges[inside[1:] < inside[:-1]], [probes[-1]] if inside[-1] else []))
-    merged = np.flatnonzero(lo[1:] <= hi[:-1] + EDGE_RTOL * np.maximum(1.0, lo[1:]))
-    return np.column_stack((np.delete(lo, merged + 1), np.delete(hi, merged))), bool(inside[-1])
+    # edges sit at `first`, at the rounded events and at the last probe; inside[i + 1] is the
+    # state after at[i] (out of band before `first` and after the last probe)
+    mant, exp = np.frexp(zeros[order])
+    at = np.concatenate(([first], np.ldexp(np.round(np.ldexp(mant, EDGE_BITS)), exp - EDGE_BITS), [probes[-1]]))
+    label = np.concatenate(([0], 1 + which, [0])).astype(np.uint8)
+    inside = np.concatenate(([False, int(bits[0]) not in (0, 7)], (state != 0) & (state != 7), [False]))
+    lo, hi = np.flatnonzero(inside[1:] > inside[:-1]), np.flatnonzero(inside[1:] < inside[:-1])
+    merged = np.flatnonzero(at[lo[1:]] <= at[hi[:-1]] + EDGE_RTOL * np.maximum(1.0, at[lo[1:]]))
+    lo, hi = np.delete(lo, merged + 1), np.delete(hi, merged)
+    return np.column_stack((at[lo], at[hi])), np.column_stack((label[lo], label[hi]))
 
 
 def _scan_continuous(spec: LatticeSpec, side: str, x_max: float, resolution: float):
-    """Continuous bands as _band_runs returns them: (k_lo, k_hi) rows and hi_trunc.
+    """Continuous bands as _band_runs returns them: (k_lo, k_hi) rows and
+    their edge labels (0 at zero and at the cutoff).
 
     The probes are evaluated in blocks (blocks.map_blocks), X_FLOOR always
     among them, and _band_runs solves the edge events of the probes each
@@ -807,7 +803,7 @@ def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
         families = [(fb.family, np.array([fb.k])) for fb in negative_flat_bands(spec) if fb.k <= k_max]
     else:
         families = sorted(_flat_momenta(spec, k_max), key=lambda fam: fam[0])
-    runs, hi_trunc = _scan_continuous(spec, side, k_max, resolution)
+    runs, labels = _scan_continuous(spec, side, k_max, resolution)
     points = [ks for family, ks in families if side == "negative" or family in ("david_star", "degenerate_point")]
 
     # a strip crossing pinched to zero width where the bracket vanishes
@@ -818,18 +814,19 @@ def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
         points = np.concatenate(points)
         for i in np.flatnonzero(runs[:, 1] - runs[:, 0] < 1e-10 * np.maximum(1.0, runs[:, 1])):
             keep[i] = not (np.abs(0.5 * (runs[i, 0] + runs[i, 1]) - points) < 1e-8 * np.maximum(1.0, points)).any()
-    runs, hi_trunc = runs[keep], hi_trunc and keep[-1]
+    runs, labels = runs[keep], labels[keep]
     bound = 2 if spec.kind == "triangular" else 3
     if side == "negative" and len(runs) > bound:
         raise InternalConsistencyError(f"{spec.kind} negative scan found {len(runs)} bands, bound is {bound}")
 
     kinds = np.concatenate([np.zeros(len(runs), np.uint8)]
                            + [np.full(ks.size, 1 + (family == "degenerate_point"), np.uint8) for family, ks in families])
-    # one stable sort by (k_lo, k_hi): continuous bands first at equal keys
+    # one stable sort by (k_lo, k_hi): continuous bands first at equal keys; flat bands have no edge label
     lo, hi = (np.concatenate([edges, *(ks for _, ks in families)]) for edges in runs.T)
     order = np.lexsort((hi, lo))
-    return BandStructure(spec=spec, side=side, intervals=None, scan_k_max=k_max, resolution=resolution,
-                         k_lo=lo[order], k_hi=hi[order], kinds=kinds[order], hi_trunc=hi_trunc)
+    labels = np.concatenate((labels, np.zeros((kinds.size - len(runs), 2), labels.dtype)))
+    return BandStructure(spec=spec, side=side, scan_k_max=k_max, resolution=resolution, k_lo=lo[order], k_hi=hi[order],
+                         kinds=kinds[order], edge_labels=labels[order])
 
 
 def scan_negative_bands(spec: LatticeSpec, kappa_max: float | None = None,

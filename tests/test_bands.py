@@ -1,5 +1,6 @@
 """Band membership, spectrum scans, flat-band enumeration, gap closings."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from qglattice import bands, blocks
+from qglattice import bands, blocks, secular
 from qglattice.bands import (
     BandStructure,
     InternalConsistencyError,
@@ -82,17 +83,17 @@ def test_membership_matches_oracle():
     assert mismatches == 0
 
 
-AUDIT_CASES = [
-    LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0),
-    LatticeSpec.equilateral(1.0),
-    LatticeSpec.kagome(0.7, 2.0, 0.5),
-    pytest.param(LatticeSpec.triangular(2.0), marks=pytest.mark.xfail(
-        strict=True, reason="sub-step gaps (ROADMAP item 1): 141 of 1131 band midpoints lie in a gap "
-                            "that the scan merged with the two narrow bands around it")),
+AUDIT_SPECS = [
+    LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0), LatticeSpec.equilateral(1.0),
+    LatticeSpec.kagome(0.7, 2.0, 0.5), LatticeSpec.triangular(2.0),
 ]
+AUDIT_IDS = ["kagome-golden", "equilateral", "kagome-0.7-2", "triangular"]
+AUDIT_CASES = [*AUDIT_SPECS[:3], pytest.param(AUDIT_SPECS[3], marks=pytest.mark.xfail(
+    strict=True, reason="sub-step gaps (ROADMAP item 1): 141 of 1131 band midpoints lie in a gap "
+                        "that the scan merged with the two narrow bands around it"))]
 
 
-@pytest.mark.parametrize("spec", AUDIT_CASES, ids=["kagome-golden", "equilateral", "kagome-0.7-2", "triangular"])
+@pytest.mark.parametrize("spec", AUDIT_CASES, ids=AUDIT_IDS)
 def test_scan_midpoints_agree_with_oracle(spec):
     # the midpoint of every reported continuous band must be in the spectrum
     # and that of every gap between two bands outside it, by the determinant
@@ -108,6 +109,38 @@ def test_scan_midpoints_agree_with_oracle(spec):
     wrong = oracle_in_spectrum_many(mids[audited], spec) != inside[audited]
     assert not wrong.any(), (f"{(wrong & inside[audited]).sum()} band and {(wrong & ~inside[audited]).sum()} "
                              f"gap midpoints of {audited.sum()} disagree with the oracle")
+
+
+def _labelled_edges(bs):
+    """Momenta of the labelled edges of a scan's continuous bands, and the
+    EXTREMAL_THETAS index of each label."""
+    edges = [(iv.k_lo, iv.edge_theta_lo) for iv in bs.continuous if iv.edge_theta_lo is not None]
+    edges += [(iv.k_hi, iv.edge_theta_hi) for iv in bs.continuous if iv.edge_theta_hi is not None]
+    return np.array([k for k, _ in edges]), np.array([EXTREMAL_THETAS.index(tuple(theta)) for _, theta in edges], int)
+
+
+def _oracle_extremal_brackets(xs, side, spec):
+    """The bracket at the three EXTREMAL_THETAS, one row per momentum, summed
+    from its Fourier series over the secular determinant, as the oracle does."""
+    out = []
+    for chunk in np.array_split(xs, -(-xs.size // 512)):
+        coeffs = secular._bracket_coefficients(chunk + 0j if side == "positive" else 1j * chunk, spec)
+        out.append(np.einsum("ej,njk,ek->ne", secular._EXTREMAL[:, 0], coeffs, secular._EXTREMAL[:, 1]).real)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("spec", AUDIT_SPECS, ids=AUDIT_IDS)
+def test_labelled_bracket_changes_sign_across_every_edge_by_the_oracle(spec):
+    # at every labelled edge of a positive scan to k = 1000 and of the negative
+    # scan, the labelled bracket, taken from the determinant (no formula shared
+    # with the scan), changes sign between edge (1 - 1e-8) and edge (1 + 1e-8)
+    for bs in (scan_bands(spec, "positive", 1000.0), scan_negative_bands(spec)):
+        x, j = _labelled_edges(bs)
+        assert x.size >= (1500 if bs.side == "positive" else 3)
+        below, above = (_oracle_extremal_brackets(x * (1.0 + s), bs.side, spec)[np.arange(x.size), j]
+                        for s in (-1e-8, 1e-8))
+        kept = np.signbit(below) == np.signbit(above)
+        assert not kept.any(), (bs.side, f"{kept.sum()} of {x.size}", x[kept][:5])
 
 
 def _sub_step_gaps(n):
@@ -378,7 +411,7 @@ def test_overflowing_negative_scan_raises(spec):
 def test_negative_scan_rejects_more_bands_than_the_bound(spec, runs, monkeypatch):
     # at most three negative bands on a kagome lattice and two on a triangular one
     found = np.array([(0.5 + i, 0.75 + i) for i in range(runs)])
-    monkeypatch.setattr(bands, "_scan_continuous", lambda *args: (found, False))
+    monkeypatch.setattr(bands, "_scan_continuous", lambda *args: (found, np.ones(found.shape, int)))
     with pytest.raises(InternalConsistencyError, match=f"found {runs} bands, bound is {runs - 1}"):
         scan_negative_bands(spec)
 
@@ -783,26 +816,34 @@ def test_scalar_and_numpy_steps_give_the_same_floats(monkeypatch):
     assert inner(fn, a, b, fa, fb).tolist() == every.tolist()
 
 
-@pytest.mark.parametrize("spec", [
-    LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0), LatticeSpec.kagome(1.0, 3.0, 0.5),
-    LatticeSpec.equilateral(0.81, 1.0), LatticeSpec.triangular(1.62, 0.7),
-], ids=["golden", "kagome-ell0.5", "equilateral", "triangular"])
-def test_scan_edges_round_their_bracket_float_root(spec):
+@pytest.mark.parametrize("spec,k_max", [
+    (LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0), 1e4),
+    (LatticeSpec.kagome(1.62 * (math.sqrt(2.0) - 1.0), 1.62, 1.0), 1e4),
+    (LatticeSpec.equilateral(0.81, 1.0), 1e4), (LatticeSpec.triangular(1.62, 1.0), 1e4),
+    (LatticeSpec.kagome(1.0, 3.0, 0.5), 300.0), (LatticeSpec.triangular(1.62, 0.7), 300.0),
+], ids=["golden", "sqrt2", "equilateral", "triangular", "kagome-ell0.5", "triangular-ell0.7"])
+def test_scan_edges_round_their_bracket_float_root(spec, k_max):
     # each edge is its labelled bracket's float root (Brent's stopping width
     # 4 eps |x|) rounded to EDGE_BITS significant bits, so the bracket is zero
-    # or changes sign within (2^-EDGE_BITS + 4 eps) |x| of the edge x
-    for bs in (scan_bands(spec, "positive", 300.0), scan_negative_bands(spec)):
-        edges = [(iv.k_lo, iv.edge_theta_lo) for iv in bs.continuous if iv.edge_theta_lo is not None]
-        edges += [(iv.k_hi, iv.edge_theta_hi) for iv in bs.continuous if iv.edge_theta_hi is not None]
-        assert len(edges) >= 3
-        x = np.array([k for k, _ in edges])
-        j = np.array([EXTREMAL_THETAS.index(tuple(theta)) for _, theta in edges])
+    # or changes sign among the floats within (2^-EDGE_BITS + 4 eps) |x| of the
+    # edge x.  65 evenly spaced floats show it at most edges; at the others
+    # every float of the window is evaluated, because where rounding noise
+    # outweighs the bracket near its root, the sign flips among a few floats only
+    # (kagome(1.62/phi, 1.62) has three such edges below k = 1e4)
+    def crosses(values):
+        return (values == 0.0).any(axis=0) | (np.signbit(values[1:]) != np.signbit(values[:-1])).any(axis=0)
+
+    for bs in (scan_bands(spec, "positive", k_max), scan_negative_bands(spec)):
+        x, j = _labelled_edges(bs)
+        assert x.size >= 3
         mant, exp = np.frexp(x)
         assert (np.ldexp(mant, bands.EDGE_BITS) % 1.0 == 0.0).all()
         h = (2.0 ** -bands.EDGE_BITS + 4.0 * np.finfo(float).eps) * x
         ys = x + h * np.linspace(-1.0, 1.0, 65)[:, None]
-        values = np.array([np.choose(j, _extremal_brackets(y, bs.side, spec)) for y in ys])
-        ok = (values == 0.0).any(axis=0) | (np.signbit(values[1:]) != np.signbit(values[:-1])).any(axis=0)
+        ok = crosses(np.array([np.choose(j, _extremal_brackets(y, bs.side, spec)) for y in ys]))
+        for i in np.flatnonzero(~ok):
+            window = np.arange(*np.array([x[i] - h[i], x[i] + h[i]]).view(np.int64) + (0, 1)).view(float)
+            ok[i] = crosses(_extremal_brackets(window, bs.side, spec)[j[i]])
         assert ok.all(), (bs.side, x[~ok])
 
 
@@ -864,15 +905,18 @@ def _bracket_at(x, side, theta, spec):
 ], ids=["kagome", "equilateral", "triangular"])
 @pytest.mark.parametrize("side", ["positive", "negative"])
 def test_edge_labels_name_the_vanishing_extremal_bracket(spec, side):
+    # the bracket at the labelled quasimomentum, by the general formula (not by
+    # the scan's _extremal_brackets, so the label must name the right theta),
+    # vanishes at the edge to 1e-8 of its scale and changes sign across it
     bs = scan_bands(spec, "positive", 60.0) if side == "positive" else scan_negative_bands(spec)
-    labelled = [(iv.k_lo, iv.edge_theta_lo) for iv in bs.continuous if iv.edge_theta_lo is not None]
-    labelled += [(iv.k_hi, iv.edge_theta_hi) for iv in bs.continuous if iv.edge_theta_hi is not None]
-    assert len(labelled) >= 3
-    for x, theta in labelled:
-        values = {th: abs(_bracket_at(x, side, th, spec)) for th in EXTREMAL_THETAS}
-        assert values[theta] == min(values.values()), (x, theta, values)
-        scale = _bracket_scale(x, _extremal_brackets(x, side, spec), spec)
-        assert values[theta] <= 1e-8 * scale, (x, theta, values)
+    x, j = _labelled_edges(bs)
+    assert x.size >= 3
+    for edge, theta in zip(x.tolist(), (EXTREMAL_THETAS[i] for i in j)):
+        value = _bracket_at(edge, side, theta, spec)
+        scale = _bracket_scale(edge, _extremal_brackets(edge, side, spec), spec)
+        assert abs(value) <= 1e-8 * scale, (edge, theta, value)
+        below, above = (_bracket_at(edge * (1.0 + s), side, theta, spec) for s in (-1e-8, 1e-8))
+        assert np.signbit(below) != np.signbit(above), (edge, theta, below, above)
 
 
 @pytest.mark.parametrize("spec,k_max,x", [
@@ -1157,8 +1201,8 @@ def test_sign_bits_agree_with_the_margin_at_every_kept_probe(monkeypatch):
 ], ids=["kagome", "triangular", "equilateral"])
 def test_negative_scan_makes_few_kernel_calls(spec, monkeypatch):
     # one call for the probes, one for the ends of every edge bracket and one
-    # per Brent step of the slowest edge; the edge labels wait for the first
-    # access to the intervals (28-29 calls when every edge was bisected 26 times)
+    # per Brent step of the slowest edge; the edge labels take none, as they
+    # come from the events (28-29 calls when every edge was bisected 26 times)
     calls = []
     inner = bands._extremal_brackets
     monkeypatch.setattr(bands, "_extremal_brackets", lambda x, side, s: calls.append(np.size(x)) or inner(x, side, s))
@@ -1221,8 +1265,9 @@ def test_csv_rows_and_dict_shapes():
 
 def _band_runs_by_loop(probes, bits, values, side, spec, first):
     # bands._band_runs as it was before its walk became array code: one
-    # Python step per edge event; also returns the longest chain of close/open
-    # pairs that one band absorbed (the runs.pop() reopenings)
+    # Python step per edge event, with each band's open and close labels;
+    # also returns the longest chain of close/open pairs that one band
+    # absorbed (the runs.pop() reopenings, which keep the first open's label)
     flips = bits[1:] ^ bits[:-1]
     flips[((flips & (flips - 1)) == 0) & ((bits[1:] & bits[:-1]) != 0) & ((bits[1:] | bits[:-1]) != 7)] = 0
     toggles = np.array([1, 2, 4] if spec.kind == "kagome" else [1, 6], np.uint8)
@@ -1232,26 +1277,29 @@ def _band_runs_by_loop(probes, bits, values, side, spec, first):
     order = np.lexsort((which, zeros, pair))
     mant, exp = np.frexp(zeros[order])
     edges = np.ldexp(np.round(np.ldexp(mant, bands.EDGE_BITS)), exp - bands.EDGE_BITS)
-    runs, start, last = [], first if int(bits[0]) not in (0, 7) else None, -1
-    chain = longest = 0
+    runs, labels, start, last = [], [], first if int(bits[0]) not in (0, 7) else None, -1
+    chain = longest = opened = 0
     pairs = pair[order]
-    for p, b, t, z in zip(pairs.tolist(), bits[pairs].tolist(), toggles[which[order]].tolist(), edges.tolist()):
+    for p, b, w, t, z in zip(pairs.tolist(), bits[pairs].tolist(), which[order].tolist(),
+                             toggles[which[order]].tolist(), edges.tolist()):
         if p != last:
             state, last = b, p
         state ^= t
         inside = state not in (0, 7)
         if inside and start is None:
             if runs and z <= runs[-1][1] + bands.EDGE_RTOL * max(1.0, z):
-                start, chain = runs.pop()[0], chain + 1
+                (start, _), (opened, _), chain = runs.pop(), labels.pop(), chain + 1
                 longest = max(longest, chain)
             else:
-                start, chain = z, 0
+                start, opened, chain = z, 1 + w, 0
         elif not inside and start is not None:
             runs.append((start, z))
+            labels.append((opened, 1 + w))
             start = None
     if start is not None:
         runs.append((start, float(probes[-1])))
-    return np.array(runs, dtype=float).reshape(-1, 2), start is not None, longest
+        labels.append((opened, 0))
+    return np.array(runs, dtype=float).reshape(-1, 2), np.array(labels, int).reshape(-1, 2), longest
 
 
 @pytest.mark.parametrize("spec", [LatticeSpec.kagome(1.0, 3.0, 1.0), LatticeSpec.triangular(2.0, 1.0),
@@ -1262,7 +1310,7 @@ def test_array_walk_equals_the_event_loop(spec, monkeypatch):
     # neighbouring events fall within EDGE_RTOL and chain, and edge solves
     # replaced by points on a coarse grid of each bracket, so that events of
     # one pair share a zero and sort by which bracket they belong to
-    seen = {"first": 0, "hi_trunc": 0, "chain": 0, "tie": 0}
+    seen = {"first": 0, "truncated": 0, "chain": 0, "tie": 0}
     for seed in range(300):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 40))
@@ -1281,11 +1329,11 @@ def test_array_walk_equals_the_event_loop(spec, monkeypatch):
             return solved[-1]
 
         monkeypatch.setattr(bands, "_brent_vec", solve)
-        want_runs, want_trunc, longest = _band_runs_by_loop(probes, bits, np.zeros((3, n)), "positive", spec, first)
-        runs, hi_trunc = bands._band_runs(probes, bits, np.zeros((3, n)), "positive", spec, first)
-        assert runs.tolist() == want_runs.tolist() and hi_trunc == want_trunc, seed
+        want_runs, want_labels, longest = _band_runs_by_loop(probes, bits, np.zeros((3, n)), "positive", spec, first)
+        runs, labels = bands._band_runs(probes, bits, np.zeros((3, n)), "positive", spec, first)
+        assert runs.tolist() == want_runs.tolist() and labels.tolist() == want_labels.tolist(), seed
         seen["first"] += bool(bits[0] not in (0, 7) and len(runs))
-        seen["hi_trunc"] += want_trunc
+        seen["truncated"] += bool(len(runs) and want_labels[-1, 1] == 0)  # the last band holds the last probe
         seen["chain"] += longest >= 2
         seen["tie"] += len(set(solved[0].tolist())) < solved[0].size
     assert min(seen.values()) >= 50, seen
@@ -1297,41 +1345,41 @@ def test_array_walk_equals_the_event_loop(spec, monkeypatch):
 @pytest.mark.parametrize("side", ["positive", "negative"])
 def test_lazy_band_structure_equals_one_built_from_intervals(spec, side):
     # a scan keeps arrays and builds its SpectralInterval list on first access;
-    # a BandStructure built from that list reads the same arrays back
+    # a BandStructure built from arrays read back from that list equals it
     scan = lambda: scan_bands(spec, "positive", 60.0) if side == "positive" else scan_negative_bands(spec)
     lazy, listed = scan(), scan()
-    built = BandStructure(spec=spec, side=side, intervals=list(listed.intervals),
-                          scan_k_max=listed.scan_k_max, resolution=listed.resolution)
+    thetas = (None, *EXTREMAL_THETAS)
+    k_lo, k_hi, kinds, *labels = (np.array(column) for column in zip(*(
+        (iv.k_lo, iv.k_hi, bands.BAND_TYPES.index(iv.band_type), thetas.index(iv.edge_theta_lo),
+         thetas.index(iv.edge_theta_hi)) for iv in listed.intervals)))
+    built = BandStructure(spec=spec, side=side, scan_k_max=listed.scan_k_max, resolution=listed.resolution,
+                          k_lo=k_lo, k_hi=k_hi, kinds=kinds, edge_labels=np.column_stack(labels))
     if side == "positive":
         assert band_measure(lazy, 3000.0).value == band_measure(built, 3000.0).value
-    assert "intervals" not in vars(lazy)
-    for name in ("k_lo", "k_hi", "kinds"):
-        assert getattr(lazy, name).tolist() == getattr(built, name).tolist(), name
-    assert lazy.intervals == built.intervals and lazy == built
+    assert lazy == built and "intervals" not in vars(lazy)  # equal arrays, not the built list
+    assert lazy.intervals == built.intervals
     assert lazy.continuous == built.continuous and lazy.flat == built.flat
     assert lazy.csv_rows() == built.csv_rows() and lazy.to_dict() == built.to_dict()
     assert len(lazy.continuous) >= 2 and (side == "negative" or len(lazy.flat) >= 2)
+    for name, moved in (("k_hi", built.k_hi + 1e-9), ("edge_labels", (built.edge_labels + 1) % 4)):
+        assert lazy != dataclasses.replace(built, **{name: moved}), name
+    assert lazy != dataclasses.replace(built, side="positive" if side == "negative" else "negative")
 
 
 def test_finite_scan_builds_no_interval_and_no_edge_label(monkeypatch):
     # the band measure reads the scan's arrays: no SpectralInterval is made
-    # and the edge labels (the kernel call of the interval build) are not
-    # evaluated until the intervals are first asked for, once
-    made, label_calls = [], []
+    # until the intervals are first asked for, and building them (with
+    # their edge labels, found by the scan) evaluates no kernel
+    made, calls = [], []
     interval, brackets = bands.SpectralInterval, bands._extremal_brackets
-
-    def counted_brackets(x, side, spec):
-        if sys._getframe(1).f_code.co_name == "__getattr__":  # BandStructure's interval build
-            label_calls.append(np.size(x))
-        return brackets(x, side, spec)
-
     monkeypatch.setattr(bands, "SpectralInterval", lambda *args: made.append(1) or interval(*args))
-    monkeypatch.setattr(bands, "_extremal_brackets", counted_brackets)
+    monkeypatch.setattr(bands, "_extremal_brackets", lambda *args: calls.append(1) or brackets(*args))
     spec = LatticeSpec.kagome(1.62 / GOLDEN, 1.62, 1.0)
     finite_scan_probability(spec, 1e6)
-    assert not made and not label_calls
+    assert not made
     bs = scan_bands(spec, "positive", 1e3)
-    assert not made and not label_calls
+    assert not made and calls
+    calls.clear()
     bs.to_dict()
     bs.csv_rows()
-    assert len(made) == len(bs.intervals) > 1000 and len(label_calls) == 1
+    assert len(made) == len(bs.intervals) > 1000 and not calls

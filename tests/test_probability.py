@@ -25,11 +25,12 @@ from qglattice.kernels import xi
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def _synthetic_bands(intervals, k_max):
-    spec = LatticeSpec.kagome(1.0, 3.0, 1.0)
-    ivs = [SpectralInterval(a, b, "positive") for a, b in intervals]
-    return BandStructure(spec=spec, side="positive", intervals=ivs,
-                         scan_k_max=k_max, resolution=1e-3)
+def _synthetic_bands(intervals, k_max, kinds=None):
+    # (k_lo, k_hi) rows of continuous bands, or of the BAND_TYPES codes `kinds`
+    lo, hi = np.array(intervals, float).reshape(-1, 2).T
+    kinds = np.zeros(lo.size, np.uint8) if kinds is None else np.array(kinds, np.uint8)
+    return BandStructure(spec=LatticeSpec.kagome(1.0, 3.0, 1.0), side="positive", scan_k_max=k_max,
+                         resolution=1e-3, k_lo=lo, k_hi=hi, kinds=kinds, edge_labels=np.zeros((lo.size, 2), int))
 
 
 def test_band_measure_arithmetic():
@@ -41,10 +42,8 @@ def test_band_measure_arithmetic():
 
 
 def test_band_measure_clips_at_cutoff_and_ignores_flat():
-    ivs = [SpectralInterval(1.0, 3.0, "positive"),
-           SpectralInterval(2.0, 2.0, "positive", "flat")]
-    bs = BandStructure(spec=LatticeSpec.kagome(1.0, 3.0, 1.0), side="positive",
-                       intervals=ivs, scan_k_max=3.0, resolution=1e-3)
+    bs = _synthetic_bands([(1.0, 3.0), (2.0, 2.0)], 3.0, kinds=[0, 1])
+    assert bs.intervals == [SpectralInterval(1.0, 3.0, "positive"), SpectralInterval(2.0, 2.0, "positive", "flat")]
     est = band_measure(bs, 4.0)  # only [1, 4] of [1, 9] counts
     assert est.value == pytest.approx(0.75)
 
