@@ -129,8 +129,9 @@ class FlatBand:
     embedded: bool
 
 
-#: Band types by code, as BandStructure.kinds holds them.
+#: Band types by code (BandStructure.kinds) and edge thetas by label (BandStructure.edge_labels).
 BAND_TYPES = ("continuous", "flat", "degenerate_point")
+_THETAS = (None, *EXTREMAL_THETAS)
 
 
 @dataclass(eq=False)
@@ -140,8 +141,10 @@ class BandStructure:
     The bands are arrays in interval order, sorted by (k_lo, k_hi): `k_lo`,
     `k_hi`, `kinds` (indices into BAND_TYPES) and `edge_labels`, a (lo, hi)
     row per band of indices into (None, *EXTREMAL_THETAS) (_band_runs).
-    The SpectralInterval list is built from them on first access and kept.
-    Structures are equal when their fields are, the arrays element by element.
+    The SpectralInterval list is built from them on first access and kept;
+    given `intervals` (dataclasses.replace(bands, intervals=[...])), the
+    arrays are read from that list instead.  Structures are equal when their
+    fields are, the arrays element by element.
     """
 
     spec: LatticeSpec
@@ -153,6 +156,15 @@ class BandStructure:
     kinds: np.ndarray = field(repr=False)
     edge_labels: np.ndarray = field(repr=False)
 
+    def __init__(self, spec, side, scan_k_max, resolution, k_lo, k_hi, kinds, edge_labels, intervals=None):
+        if intervals is not None:
+            rows = np.array([(iv.k_lo, iv.k_hi, BAND_TYPES.index(iv.band_type), _THETAS.index(iv.edge_theta_lo),
+                              _THETAS.index(iv.edge_theta_hi)) for iv in intervals], float).reshape(-1, 5)
+            k_lo, k_hi = rows[:, :2].T
+            kinds, edge_labels = rows[:, 2].astype(np.uint8), rows[:, 3:].astype(np.uint8)
+        self.spec, self.side, self.scan_k_max, self.resolution = spec, side, scan_k_max, resolution
+        self.k_lo, self.k_hi, self.kinds, self.edge_labels = k_lo, k_hi, kinds, edge_labels
+
     def __eq__(self, other):
         if not isinstance(other, BandStructure):
             return NotImplemented
@@ -160,8 +172,7 @@ class BandStructure:
 
     @cached_property
     def intervals(self) -> list:
-        thetas = (None, *EXTREMAL_THETAS)
-        return [SpectralInterval(lo, hi, self.side, BAND_TYPES[t], thetas[a], thetas[b]) for lo, hi, t, (a, b)
+        return [SpectralInterval(lo, hi, self.side, BAND_TYPES[t], _THETAS[a], _THETAS[b]) for lo, hi, t, (a, b)
                 in zip(self.k_lo.tolist(), self.k_hi.tolist(), self.kinds.tolist(), self.edge_labels.tolist())]
 
     @property
@@ -809,12 +820,11 @@ def scan_bands(spec: LatticeSpec, side: str = "positive", k_max: float = 10.0,
     # a strip crossing pinched to zero width where the bracket vanishes
     # identically in theta is an infinitely degenerate eigenvalue, reported
     # as a flat or point interval instead of a continuous band
-    keep = np.ones(len(runs), bool)
     if points:
-        points = np.concatenate(points)
+        points, keep = np.concatenate(points), np.ones(len(runs), bool)
         for i in np.flatnonzero(runs[:, 1] - runs[:, 0] < 1e-10 * np.maximum(1.0, runs[:, 1])):
             keep[i] = not (np.abs(0.5 * (runs[i, 0] + runs[i, 1]) - points) < 1e-8 * np.maximum(1.0, points)).any()
-    runs, labels = runs[keep], labels[keep]
+        runs, labels = runs[keep], labels[keep]
     bound = 2 if spec.kind == "triangular" else 3
     if side == "negative" and len(runs) > bound:
         raise InternalConsistencyError(f"{spec.kind} negative scan found {len(runs)} bands, bound is {bound}")
