@@ -427,7 +427,11 @@ def flat_bands(spec: LatticeSpec, k_max: float) -> list:
         if ks.size and family == "david_star":
             embedded = _limit_membership(ks, "positive", spec)
         elif ks.size and spec.kind == "kagome":
-            embedded = _margin(ks, "positive", spec) <= 0.0
+            # an extremal bracket may vanish here in exact arithmetic: within
+            # its rounding error it counts as zero, an edge, which is in band
+            brackets = np.array(_extremal_brackets(ks, "positive", spec))
+            brackets[np.abs(brackets) <= BRACKET_RTOL * bracket_curvature_bound(ks, "positive", spec)[1]] = 0.0
+            embedded = _margin_of(brackets) <= 0.0
         out.extend(FlatBand(k=float(k), family=family, multiplicity_note=f"n={n}", embedded=bool(e))
                    for n, (k, e) in enumerate(zip(ks, embedded), start=1))
     out.sort(key=lambda fb: (fb.k, fb.family))

@@ -6,6 +6,10 @@ the three kernels (l1, l2, l3) of the kagome spectral condition, computed
 together by one function per side (trigonometric on the positive energy
 side, hyperbolic on the negative), the reduced rational conditions for the
 triangular lattice, and the leading high-energy expansion coefficients.
+The positive-side kagome kernels and triangular bracket parts take the
+cosines and sines of two phases (one for the triangular lattice) and build
+every other phase from them by angle addition: a numpy cosine costs more
+than ten multiply-adds.
 
 All kernel evaluators accept scalars or numpy arrays, and remain valid for
 complex momentum arguments (the hyperbolic forms are the analytic
@@ -137,30 +141,38 @@ def _fg_arrays(theta1, theta2):
 
 
 # --------------------------------------------------------------------------
-# Kagome kernels, one function per side returning (l1, l2, l3).  Each
-# computes x = (k ell)^2, (x -+ 1)^2 and the half-angle phases k(d - c)/2 and
-# kc/2 once.  The positive-side forms are trigonometric; substituting
-# k -> i*kappa turns them into the hyperbolic negative-side forms, which are
-# coded independently so that the agreement can be tested.
+# Kagome kernels, one function per side returning (l1, l2, l3).  The
+# positive-side forms are trigonometric; substituting k -> i*kappa turns them
+# into the hyperbolic negative-side forms, which are coded independently so
+# that the agreement can be tested.
 
 def _kagome_pos(k, c, d, ell):
+    """Positive-side kernels from three trigonometric calls.
+
+    Every phase of the kernels is an integer combination of p = kd/2 and
+    m = k(2c - d)/2 (kc = p + m, k(d - c) = p - m), so with cp = cos p,
+    cm = cos m, sm = sin m and c2p = cos 2p = 2 cp^2 - 1, angle addition gives
+        cos k(c+d) + cos k(c-2d) = 2 cos 3p cm,   cos 3p = cp (4 cp^2 - 3),
+        2 cos kd + cos 2kd = 2 c2p + 2 c2p^2 - 1,
+        cos k(2c-d) = 2 cm^2 - 1,   cos k(d-c) + cos kc = 2 cp cm,
+        l2 = 4 (x+1)(x-1)^2 (cp + cm)(cm + 2 cp),
+        l3 = 8 k ell (x-1)^2 (cp - cm) sm,
+    with x = (k ell)^2.  The identities hold for complex k and d.
+    """
     x = (k * ell) ** 2
     xp1, xm1_sq = x + 1.0, (x - 1.0) ** 2
-    half_b, half_c = k * (d - c) / 2.0, k * c / 2.0
-    cos_d = np.cos(k * d)
+    # the phase m is not kept: one more full-size temporary raises the peak
+    # memory of the gap-closing search's complex blocks
+    cp, cm, sm = np.cos(k * (d / 2.0)), np.cos(k * ((2.0 * c - d) / 2.0)), np.sin(k * ((2.0 * c - d) / 2.0))
+    c2p = 2.0 * cp * cp - 1.0
     l1 = 2.0 * xp1 * (
-        4.0 * xp1 ** 2
-        * (np.cos(k * (c + d)) + np.cos(k * (c - 2.0 * d)) + 2.0 * cos_d + np.cos(2.0 * k * d))
-        + (x * x + 14.0 * x + 1.0) * (2.0 * cos_d + 1.0) * np.cos(k * (2.0 * c - d))
-        + (3.0 * x * x + 18.0 * x + 3.0)
-        + (5.0 * x * x + 22.0 * x + 5.0) * (np.cos(k * (d - c)) + np.cos(k * c))
+        4.0 * xp1 * xp1 * (2.0 * cp * (4.0 * cp * cp - 3.0) * cm + 2.0 * c2p * (c2p + 1.0) - 1.0)
+        + ((x + 14.0) * x + 1.0) * (2.0 * c2p + 1.0) * (2.0 * cm * cm - 1.0)
+        + ((3.0 * x + 18.0) * x + 3.0)
+        + ((10.0 * x + 44.0) * x + 10.0) * cp * cm
     )
-    l2 = (
-        8.0 * xp1 * xm1_sq
-        * np.cos(half_b) * np.cos(half_c)
-        * (np.cos(k * (2.0 * c - d) / 2.0) + 2.0 * np.cos(k * d / 2.0))
-    )
-    l3 = 16.0 * k * ell * xm1_sq * np.sin(half_b) * np.sin(half_c) * np.sin(k * (d - 2.0 * c) / 2.0)
+    l2 = 4.0 * xp1 * xm1_sq * (cp + cm) * (cm + 2.0 * cp)
+    l3 = (8.0 * ell) * k * xm1_sq * (cp - cm) * sm
     return l1, l2, l3
 
 
@@ -251,14 +263,16 @@ def tri_bracket_neg(kp, f, spec: LatticeSpec):
 
 
 def tri_bracket_parts_pos(k, spec: LatticeSpec):
-    """Parts (A, C) of the positive-side bracket A - C f, for evaluating several f at once."""
+    """Parts (A, C) of the positive-side bracket A - C f, for evaluating several f at once.
+
+    One trigonometric call: with h2 = cos^2(kd/2), cos kd = 2 h2 - 1 and
+    2 cos kd + cos 2kd = 4 h2 cos kd - 1 (valid for complex k and d).
+    """
     d, ell = spec.d, spec.ell
     x = (k * ell) ** 2
-    a = (
-        3.0 * (x * x + 6.0 * x + 1.0)
-        + (3.0 * x * x + 10.0 * x + 3.0) * (2.0 * np.cos(k * d) + np.cos(2.0 * k * d))
-    )
-    return a, 4.0 * (x - 1.0) ** 2 * np.cos(k * d / 2.0) ** 2
+    h2 = np.cos(k * d / 2.0) ** 2
+    a = 3.0 * (x * x + 6.0 * x + 1.0) + (3.0 * x * x + 10.0 * x + 3.0) * (4.0 * h2 * (2.0 * h2 - 1.0) - 1.0)
+    return a, 4.0 * (x - 1.0) ** 2 * h2
 
 
 def tri_bracket_parts_neg(kp, spec: LatticeSpec):
@@ -274,7 +288,7 @@ def tri_bracket_parts_neg(kp, spec: LatticeSpec):
 
 # --------------------------------------------------------------------------
 # Curvature bound of the positive-side extremal brackets.  _kernel_terms
-# lists each kernel above as the terms it is computed from, P(k) times a
+# lists each kernel above as the products that define it, P(k) times a
 # product of n cosines or sines of w_i k.  Such a product is the mean, over
 # the 2^n sign choices, of a signed cosine or sine of (sum +-w_i) k, and the
 # cross terms w_i w_j cancel in the mean of (sum +-w_i)^2.  So with
@@ -285,9 +299,10 @@ def tri_bracket_parts_neg(kp, spec: LatticeSpec):
 # coefficients, which is nondecreasing in k.
 
 def _kernel_terms(spec: LatticeSpec):
-    """Positive-side kernels as lists of terms (P, w), each the product
-    P(k) prod_i trig(w_i k) that _kagome_pos or tri_bracket_parts_pos
-    computes, with trig the cosine but for l3's sines, and P's signed
+    """Positive-side kernels as lists of terms (P, w), the products
+    P(k) prod_i trig(w_i k) that define the kernels (_kagome_pos and
+    tri_bracket_parts_pos evaluate their sums by angle addition), with trig
+    the cosine but for l3's sines, and P's signed
     coefficients ascending in k (8 of them; the degree is 6 at most).  Also
     the weights of the three extremal brackets: bracket j is
     sum_i weights[j][i] kernels[i]."""

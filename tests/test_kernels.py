@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from qglattice import kernels
-from qglattice.bands import BRACKET_RTOL
+from qglattice.bands import BRACKET_RTOL, flat_bands
 from qglattice.kernels import (
     GeometryError,
     LatticeSpec,
@@ -293,23 +293,29 @@ def _mp_brackets(k, spec):
     return l1 - 3 * l2, l1 + 1.5 * l2 + r * l3, l1 + 1.5 * l2 - r * l3
 
 
+def _assert_brackets_match_mpmath(k, spec):
+    """The float64 extremal brackets at momenta k stay well inside their
+    rounding allowance BRACKET_RTOL S of the 40-digit ones."""
+    mpmath = pytest.importorskip("mpmath")
+    values, size = _brackets(k, spec), bracket_curvature_bound(k, "positive", spec)[1]
+    with mpmath.workdps(40):
+        for i, x in enumerate(k):
+            for j, exact in enumerate(_mp_brackets(mpmath.mpf(x), spec)):
+                assert abs(values[j][i] - exact) <= 1e-2 * BRACKET_RTOL * size[j][i]
+
+
 def _log_uniform_momenta(seed, n):
     return np.exp(np.random.default_rng(seed).uniform(math.log(1e-6), math.log(1e5), n))
 
 
 def test_lambda1_evaluates_cos_kd_once_bit_for_bit():
+    # the negative side's l1 is the transcribed formula bit for bit; the
+    # positive side builds its phases from three by angle addition
+    # (_kagome_pos), so it is held to its rounding allowance against mpmath
     rng = np.random.default_rng(15)
     c, d, ell = 0.7, 2.3, 1.3
-    k = rng.uniform(0.0, 300.0, 20000)
     kp = rng.uniform(0.0, 40.0, 20000)
-    x, xp = (k * ell) ** 2, (kp * ell) ** 2
-    pos = 2.0 * (x + 1.0) * (
-        4.0 * (x + 1.0) ** 2
-        * (np.cos(k * (c + d)) + np.cos(k * (c - 2.0 * d)) + 2.0 * np.cos(k * d) + np.cos(2.0 * k * d))
-        + (x * x + 14.0 * x + 1.0) * (2.0 * np.cos(k * d) + 1.0) * np.cos(k * (2.0 * c - d))
-        + (3.0 * x * x + 18.0 * x + 3.0)
-        + (5.0 * x * x + 22.0 * x + 5.0) * (np.cos(k * (d - c)) + np.cos(k * c))
-    )
+    xp = (kp * ell) ** 2
     neg = 2.0 * (1.0 - xp) * (
         4.0 * (xp - 1.0) ** 2
         * (np.cosh(kp * (c + d)) + np.cosh(kp * (c - 2.0 * d)) + 2.0 * np.cosh(kp * d) + np.cosh(2.0 * kp * d))
@@ -317,8 +323,8 @@ def test_lambda1_evaluates_cos_kd_once_bit_for_bit():
         + (3.0 * xp * xp - 18.0 * xp + 3.0)
         + (5.0 * xp * xp - 22.0 * xp + 5.0) * (np.cosh(kp * (d - c)) + np.cosh(kp * c))
     )
-    assert np.array_equal(kernels._lambdas(k, "positive", c, d, ell)[0], pos)
     assert np.array_equal(kernels._lambdas(kp, "negative", c, d, ell)[0], neg)
+    _assert_brackets_match_mpmath(rng.uniform(0.0, 300.0, 200), LatticeSpec.kagome(c, d, ell))
 
 
 @pytest.mark.parametrize("spec", BOUND_CASES, ids=lambda s: f"{s.kind}-ell{s.ell:g}")
@@ -356,6 +362,32 @@ def test_bracket_curvature_bound_against_mpmath(spec):
                 assert abs(second) <= curvature[j][i]
                 # the float64 bracket stays well inside its rounding allowance
                 assert abs(values[j][i] - exact[j]) <= 1e-2 * BRACKET_RTOL * size[j][i]
+    # so it does where the phases are large and the angle-addition forms of
+    # the kernels round them: 40 <= k <= 1e4
+    _assert_brackets_match_mpmath(np.exp(np.random.default_rng(24).uniform(math.log(40.0), math.log(1e4), 100)), spec)
+
+
+@pytest.mark.parametrize("spec", [LatticeSpec.kagome(1.0, 3.0, 1.0), LatticeSpec.kagome(0.7, 2.3, 1.3),
+                                  *(LatticeSpec.kagome(r * 1.62, 1.62, 1.0)
+                                    for r in (1.0 / GOLDEN, 1.0 / GOLDEN ** 2, math.sqrt(2.0) - 1.0))],
+                         ids=["1-3", "0.7-2.3", "phi", "phi2", "sqrt2m1"])
+def test_flat_band_embedding_agrees_with_mpmath(spec):
+    # at many flat momenta an extremal bracket vanishes in exact arithmetic
+    # and its float64 value is rounding noise; flat_bands counts a bracket
+    # within BRACKET_RTOL S of zero as zero (an edge, in band), and so does
+    # this 40-digit reference
+    mpmath = pytest.importorskip("mpmath")
+    fbs = flat_bands(spec, 60.0)
+    ks = np.array([fb.k for fb in fbs])
+    size = bracket_curvature_bound(ks, "positive", spec)[1]
+    with mpmath.workdps(40):
+        for fb, s in zip(fbs, size.T):
+            exact = [0.0 if abs(b) <= BRACKET_RTOL * s_j else float(b)
+                     for b, s_j in zip(_mp_brackets(mpmath.mpf(fb.k), spec), s)]
+            assert fb.embedded == (min(exact) <= 0.0 <= max(exact)), (fb.k, fb.family)
+    if spec.d == 3.0:
+        d_family = [fb.embedded for fb in fbs if fb.family == "d_family"][:9]
+        assert d_family == [True, True, False] * 3
 
 
 @pytest.mark.parametrize("spec", BOUND_CASES, ids=lambda s: f"{s.kind}-ell{s.ell:g}")
